@@ -1,4 +1,6 @@
-"""Serve capacity: shared-scan tenant group vs independent tenants.
+"""Serve benches: tenant-group capacity and per-round cost under history.
+
+**Tenant-group capacity** (``serve``).
 
 PR 9's tenant groups co-submit queries through ``translate_many`` so the
 service runs one merged dataflow instead of one dataflow per tenant —
@@ -20,14 +22,33 @@ group replaces. Both cells come from the same process on the same box —
 ``tools/check_bench_regression.py`` holds the ratio to a hard
 machine-independent floor (and equal match totals) via
 ``check_serve_cells``.
+
+**Round cost under history** (``serve_history``). A long-lived served
+job must not get slower as its history grows: its live operators hold
+only window-bounded state, and its checkpoints count matches instead of
+copying them. The feed is the ``Scale.default()`` Q/V stream (13,332
+events) through ``SEQ(Q a, V b) WHERE a.id = b.id WITHIN 10 MINUTES``
+with O3 on ``id``, ingested into an in-process ``JobManager`` in 8 equal
+rounds, once on the serial backend and once on 2 inline shards. Each
+cell records ``growth``, the median over 3 repetitions of the last
+round's time over the second's; ``tools/check_bench_regression.py``
+holds it to a ceiling (both timings come from the same run, so the ratio
+is machine-independent). The served matches must be byte-identical to
+the one-shot batch run.
 """
+
+import statistics
+import time
 
 from benchmarks.common import bench_scale, record, record_rows
 from repro.asp.operators.source import ListSource
-from repro.experiments.common import ExperimentRow, qnv_aq_workload
+from repro.asp.runtime.fault.chaos import canonical_match_bytes
+from repro.experiments.common import ExperimentRow, Scale, qnv_aq_workload
 from repro.mapping.multiquery import translate_many
+from repro.mapping.optimizations import TranslationOptions
 from repro.mapping.translator import translate
 from repro.patterns import traffic_congestion
+from repro.runtime.service import JobManager, ServiceConfig, merge_streams_for_wire
 from repro.sea.parser import parse_pattern
 
 TENANTS = 8
@@ -124,3 +145,95 @@ def test_serve_tenant_group(benchmark):
     # only sanity-check that sharing is not a loss.
     assert multi.num_shared_scans >= 1
     assert shared_result.wall_seconds < separate_wall
+
+
+HISTORY_PATTERN = "PATTERN SEQ(Q a, V b) WHERE a.id = b.id WITHIN 10 MINUTES"
+HISTORY_ROUNDS = 8
+HISTORY_REPETITIONS = 3
+
+
+def _history_reference(streams) -> bytes:
+    pattern = parse_pattern(HISTORY_PATTERN, name="history")
+    query = translate(
+        pattern,
+        _sources(streams, ("Q", "V")),
+        TranslationOptions(partition_attribute="id"),
+    )
+    query.attach_sink()
+    query.execute()
+    return canonical_match_bytes(query.matches())
+
+
+def _history_run(events, backend):
+    """One served job fed in equal rounds: (round seconds, served bytes)."""
+    manager = JobManager(ServiceConfig(round_events=len(events) + 1))
+    info = manager.submit({
+        "name": "history",
+        "query": {"pattern": HISTORY_PATTERN, "name": "history", "options": {"o3": "id"}},
+        "backend": backend,
+        "shards": 2,
+        "shard_mode": "inline",
+    })
+    job = manager.jobs[info["id"]]
+    per = len(events) // HISTORY_ROUNDS
+    seconds = []
+    for index in range(HISTORY_ROUNDS):
+        stop = len(events) if index == HISTORY_ROUNDS - 1 else (index + 1) * per
+        for seq in range(index * per, stop):
+            manager.ingest_event(events[seq], source="bench", seq=seq + 1)
+        started = time.perf_counter()
+        manager.run_round(job)
+        seconds.append(time.perf_counter() - started)
+    manager.drain()
+    keys = manager.job_matches(info["id"])["queries"]["history"]["keys"]
+    return seconds, "\n".join(keys).encode("utf-8")
+
+
+def test_serve_history_growth(benchmark):
+    streams = qnv_aq_workload(Scale.default())
+    events = list(merge_streams_for_wire({t: streams[t] for t in ("Q", "V")}))
+    reference = _history_reference(streams)
+    assert reference, "the history feed must produce matches"
+
+    def run_all():
+        runs = {"serial": [], "sharded": []}
+        for _ in range(HISTORY_REPETITIONS):
+            for backend, reps in runs.items():
+                seconds, served = _history_run(events, backend)
+                assert served == reference, f"{backend}: served != batch bytes"
+                reps.append(seconds)
+        return runs
+
+    runs = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    matches = reference.count(b"\n") + 1
+    rows = []
+    lines = [
+        f"Served round cost under history: {len(events)} Q/V events in "
+        f"{HISTORY_ROUNDS} rounds, median of {HISTORY_REPETITIONS}"
+    ]
+    for backend, reps in runs.items():
+        growth = statistics.median(s[-1] / s[1] for s in reps)
+        wall = statistics.median(sum(s) for s in reps)
+        rounds_ms = [
+            statistics.median(s[i] for s in reps) * 1000.0
+            for i in range(HISTORY_ROUNDS)
+        ]
+        lines.append(
+            f"  {backend:8s} last/second round {growth:.2f}x   rounds ms: "
+            + " ".join(f"{ms:.0f}" for ms in rounds_ms)
+        )
+        rows.append(ExperimentRow(
+            experiment="serve_history",
+            pattern="SEQ-o3",
+            approach=backend,
+            parameter=f"rounds={HISTORY_ROUNDS}",
+            throughput_tps=len(events) / wall,
+            matches=matches,
+            events_in=len(events),
+            wall_seconds=wall,
+            peak_state_bytes=0,
+            extras={"growth": growth},
+        ))
+    record("serve_history", "\n".join(lines))
+    record_rows("serve_history", rows)
+    # The growth ceiling lives in tools/check_bench_regression.py.

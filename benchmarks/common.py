@@ -59,6 +59,10 @@ def assert_fasp_not_dominated(rows: list[ExperimentRow], tolerance: float = 0.8)
     assert not losing, f"FASP dominated by FCEP in cells: {losing}"
 
 
+#: Row extras copied into summary cells for the regression gate.
+GATED_EXTRAS = ("growth",)
+
+
 def summary_key(row: ExperimentRow) -> str:
     """Stable identifier of one figure cell: pattern|approach|parameter."""
     return f"{row.pattern}|{row.approach}|{row.parameter}"
@@ -84,6 +88,11 @@ def update_summary(name: str, rows: list[ExperimentRow]) -> dict:
                 "matches": row.matches,
                 "events_in": row.events_in,
                 "failed": row.failed,
+                **{
+                    name: round(row.extras[name], 3)
+                    for name in GATED_EXTRAS
+                    if name in row.extras
+                },
             }
             for row in rows
         },

@@ -93,6 +93,22 @@ class CollectSink(Sink):
         super().restore_state(snapshot)
         self.items = list(snapshot["items"])
 
+    def snapshot_counts(self) -> dict[str, Any]:
+        """The snapshot without the items themselves.
+
+        A collect sink keeps every item it counts, so ``count`` is also
+        how many items the snapshot covers. Served jobs checkpoint this
+        form: their output stays in the live sink (and a durable output
+        log) instead of being copied into every checkpoint.
+        """
+        return super().snapshot_state()
+
+    def restore_counts(self, snapshot: dict[str, Any]) -> None:
+        """Roll back to a :meth:`snapshot_counts` snapshot: drop every
+        item collected after it was taken."""
+        super().restore_state(snapshot)
+        del self.items[self.count:]
+
     def matches(self) -> list[ComplexEvent]:
         return [i for i in self.items if isinstance(i, ComplexEvent)]
 

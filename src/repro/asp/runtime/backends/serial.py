@@ -17,7 +17,10 @@ drained, so that point is a consistent cut — the
 snapshots there, and a :class:`~repro.asp.runtime.fault.injection
 .FaultInjector` crashes there (plus virtual slow-operator delays and
 severed channels on the data path). ``start_offset`` replays the merged
-source stream from a checkpointed position.
+source stream from a checkpointed position. A job may also be run again
+after its sources were refilled with the continuation of the stream:
+numbering then picks up after ``events_in`` (the live jobs of
+``repro serve``).
 """
 
 from __future__ import annotations
@@ -432,13 +435,17 @@ class SerialJob:
         started = instr.start_run()
         failed = False
         failure: str | None = None
+        # The sources hold the merged stream from index ``events_in + 1``
+        # on: 1 for a fresh job, the next unconsumed event for a job run
+        # again on refilled sources.
+        base = self.events_in
         if self.start_offset:
             self.events_in = self.start_offset
         try:
             if self._batched:
-                self._drive_batched()
+                self._drive_batched(base)
             else:
-                self._drive_serial()
+                self._drive_serial(base)
             if terminal_watermark:
                 self._broadcast_watermark(Watermark.terminal())
             # Records the closing sample too, so short runs (fewer events
@@ -454,12 +461,14 @@ class SerialJob:
         wall = self.clock.now() - started
         return self._build_result(wall, failed, failure)
 
-    def _drive_serial(self) -> None:
+    def _drive_serial(self, base: int) -> None:
         """The per-event reference drive loop."""
         instr = self.instrumentation
         injector = self.injector
         coordinator = self.coordinator
-        for index, (node_id, event) in enumerate(merge_sources(self.flow), start=1):
+        for index, (node_id, event) in enumerate(
+            merge_sources(self.flow), start=base + 1
+        ):
             if index <= self.start_offset:
                 # Replay: the checkpoint already consumed this prefix.
                 continue
@@ -474,7 +483,7 @@ class SerialJob:
             if coordinator is not None and coordinator.due(index):
                 coordinator.take(self)
 
-    def _drive_batched(self) -> None:
+    def _drive_batched(self, base: int) -> None:
         """The micro-batch drive loop — equivalent by construction.
 
         Batches are same-source runs that never span a watermark
@@ -508,6 +517,7 @@ class SerialJob:
             self.watermarks,
             batch_size=self.settings.batch_size,
             start_offset=self.start_offset,
+            base=base,
             cut_indices=cut_indices,
             cut_intervals=cut_intervals,
             regroup=regroup,

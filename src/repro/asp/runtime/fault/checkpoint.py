@@ -18,8 +18,9 @@ histogram (p95) accumulate across recovery attempts and surface in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
+from repro.asp.operators.sink import CollectSink
 from repro.asp.runtime.clock import RuntimeClock
 from repro.asp.runtime.fault.store import (
     Checkpoint,
@@ -33,24 +34,45 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.asp.runtime.backends.serial import SerialJob
 
 
-def capture_job_state(job: "SerialJob") -> dict[str, Any]:
-    """Everything a restarted job needs: offset, watermark, operators."""
-    return {
+def capture_job_state(job: "SerialJob", *, detach_sinks: bool = False) -> dict[str, Any]:
+    """Everything a restarted job needs: offset, watermark, operators.
+
+    ``detach_sinks`` is the served-job form: each :class:`CollectSink`
+    records only its item count (its output lives on in the live sink and
+    the job's output log), and the per-operator run counters ride along,
+    so a restored job continues them instead of counting from zero.
+    """
+    operators = {}
+    for node in job.flow.operator_nodes():
+        op = node.operator
+        if detach_sinks and isinstance(op, CollectSink):
+            operators[node.node_id] = op.snapshot_counts()
+        else:
+            operators[node.node_id] = op.snapshot_state()
+    data: dict[str, Any] = {
         "offset": job.events_in,
         "items_out": job.items_out,
         "watermark": job.watermarks.snapshot(),
-        "operators": {
-            node.node_id: node.operator.snapshot_state()
-            for node in job.flow.operator_nodes()
-        },
+        "operators": operators,
     }
+    if detach_sinks:
+        data["detached_sinks"] = True
+        data["counters"] = dict(job.instrumentation.op_metrics)
+    return data
 
 
 def restore_job_state(job: "SerialJob", data: dict[str, Any]) -> None:
+    detached = data.get("detached_sinks", False)
     job.items_out = data["items_out"]
     job.watermarks.restore(data["watermark"])
     for node in job.flow.operator_nodes():
-        node.operator.restore_state(data["operators"][node.node_id])
+        op, snapshot = node.operator, data["operators"][node.node_id]
+        if detached and isinstance(op, CollectSink):
+            op.restore_counts(snapshot)
+        else:
+            op.restore_state(snapshot)
+    for node_id, saved in data.get("counters", {}).items():
+        job.instrumentation.op_metrics[node_id].restore(saved)
 
 
 class CheckpointCoordinator:
@@ -65,12 +87,20 @@ class CheckpointCoordinator:
         store: CheckpointStore,
         interval: int | None,
         clock: RuntimeClock | None = None,
+        *,
+        detach_sinks: bool = False,
+        before_save: Callable[[], None] | None = None,
     ):
         if interval is not None and interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
         self.store = store
         self.interval = interval
         self.clock = clock or RuntimeClock()
+        #: Capture sinks by item count (see :func:`capture_job_state`).
+        self.detach_sinks = detach_sinks
+        #: Runs before each capture: a served job makes the output the
+        #: checkpoint will count durable first.
+        self.before_save = before_save
         self.count = 0
         self.bytes_total = 0
         self.duration = Histogram()
@@ -85,14 +115,12 @@ class CheckpointCoordinator:
 
     def take(self, job: "SerialJob") -> Checkpoint:
         started = self.clock.now()
-        payload = pickle_payload(capture_job_state(job))
-        checkpoint = Checkpoint(self._next_id, job.events_in, payload)
-        self.store.save(checkpoint)
-        self._next_id += 1
-        self.count += 1
-        self.bytes_total += checkpoint.size_bytes
-        self.duration.observe(self.clock.now() - started)
-        return checkpoint
+        if self.before_save is not None:
+            self.before_save()
+        payload = pickle_payload(
+            capture_job_state(job, detach_sinks=self.detach_sinks)
+        )
+        return self._commit(payload, job.events_in, started)
 
     def save_payload(self, payload: bytes, offset: int) -> Checkpoint:
         """Persist an externally captured state blob (same accounting).
@@ -101,7 +129,9 @@ class CheckpointCoordinator:
         a worker process and ship the pickled payload back; the parent
         coordinator owns ids, retention and the overhead metrics.
         """
-        started = self.clock.now()
+        return self._commit(payload, offset, self.clock.now())
+
+    def _commit(self, payload: bytes, offset: int, started: float) -> Checkpoint:
         checkpoint = Checkpoint(self._next_id, offset, payload)
         self.store.save(checkpoint)
         self._next_id += 1

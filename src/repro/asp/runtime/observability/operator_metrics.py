@@ -49,6 +49,18 @@ class OperatorMetrics:
         self.watermark_calls = 0
         self.latency = Histogram(DEFAULT_LATENCY_BOUNDS)
 
+    def restore(self, saved: "OperatorMetrics") -> None:
+        """Continue from ``saved``'s counters (a checkpointed copy).
+
+        Copies field by field, so fused segments holding this object keep
+        updating the live one.
+        """
+        self.busy = saved.busy
+        self.events_in = saved.events_in
+        self.events_out = saved.events_out
+        self.watermark_calls = saved.watermark_calls
+        self.latency = saved.latency
+
     @property
     def selectivity(self) -> float:
         """Output items per input item (> 1 for expanding operators)."""

@@ -53,6 +53,7 @@ def merge_batches(
     *,
     batch_size: int,
     start_offset: int = 0,
+    base: int = 0,
     cut_indices: Sequence[int] = (),
     cut_intervals: Sequence[int] = (),
     regroup: bool = False,
@@ -84,7 +85,10 @@ def merge_batches(
     immediately and carries the watermark, so event time advances after
     exactly the same event as in the serial loop. Events with index <=
     ``start_offset`` are skipped without being observed (checkpoint
-    replay: the restored generator already saw them).
+    replay: the restored generator already saw them). ``base`` is the
+    index of the event just before the sources' first one: 0 for a
+    stream read from its start, the events already consumed when a live
+    job's sources hold only the continuation of its stream.
 
     When every source is an in-memory, time-sorted sequence (see
     :meth:`~repro.asp.operators.source.Source.materialized`), runs are
@@ -117,11 +121,13 @@ def merge_batches(
         arrays = _sorted_source_arrays(flow)
     if arrays is not None:
         if regroup:
-            yield from _merge_windows(arrays, watermarks, limit_for, start_offset)
+            yield from _merge_windows(
+                arrays, watermarks, limit_for, start_offset, base
+            )
             return
         if len(arrays) == 1:
             yield from _merge_batches_fast(
-                arrays, watermarks, limit_for, start_offset
+                arrays, watermarks, limit_for, start_offset, base
             )
             return
         # Multi-source strict mode: same-source runs degenerate to the
@@ -134,9 +140,9 @@ def merge_batches(
     batch: list[Event] = []
     batch_node = -1
     limit = 0
-    last_index = start_offset
+    last_index = max(start_offset, base)
     observe = watermarks.observe
-    for index, (node_id, event) in enumerate(merge_sources(flow), start=1):
+    for index, (node_id, event) in enumerate(merge_sources(flow), start=base + 1):
         if index <= start_offset:
             continue
         if batch and (node_id != batch_node or index > limit):
@@ -172,7 +178,7 @@ def _sorted_source_arrays(flow: Dataflow):
     return arrays or None
 
 
-def _merge_batches_fast(arrays, watermarks, limit_for, start_offset):
+def _merge_batches_fast(arrays, watermarks, limit_for, start_offset, base):
     """Galloping merge over sorted source arrays (see merge_batches).
 
     Reproduces exactly the generic path's batches: the same (ts, source
@@ -192,7 +198,7 @@ def _merge_batches_fast(arrays, watermarks, limit_for, start_offset):
     pos = [0] * k
     sizes = [len(entry[2]) for entry in arrays]
     active = [i for i in range(k) if sizes[i]]
-    index = 0  # global 1-based index of the last consumed event
+    index = base  # global 1-based index of the last consumed event
     while active:
         if len(active) == 1:
             best = active[0]
@@ -254,7 +260,7 @@ def _merge_batches_fast(arrays, watermarks, limit_for, start_offset):
             active.remove(best)
 
 
-def _merge_windows(arrays, watermarks, limit_for, start_offset):
+def _merge_windows(arrays, watermarks, limit_for, start_offset, base):
     """Watermark-window regrouped merge (see merge_batches, regroup=True).
 
     Each iteration locates the next watermark-triggering event — the
@@ -267,6 +273,8 @@ def _merge_windows(arrays, watermarks, limit_for, start_offset):
     The watermark schedule is simulated from the generator's fresh state:
     restarted attempts restore a mid-stream generator snapshot, but the
     window structure must match the original attempt's from event one.
+    A continuation (``base`` > 0) picks the schedule up from the
+    generator's current state, which the previous run left in sync.
     """
     generator = watermarks.generator
     ooo = generator.max_out_of_orderness
@@ -276,11 +284,14 @@ def _merge_windows(arrays, watermarks, limit_for, start_offset):
     # current snapshot: see docstring.
     max_ts = -(2**62)
     last_emitted = -(2**62)
+    if base:
+        state = generator.snapshot_state()
+        max_ts, last_emitted = state["max_ts"], state["last_emitted"]
 
     k = len(arrays)
     pos = [0] * k
     sizes = [len(entry[2]) for entry in arrays]
-    index = 0  # global 1-based delivery index of the last consumed event
+    index = base  # global 1-based delivery index of the last consumed event
     while True:
         threshold = last_emitted + interval + ooo
         cuts = [

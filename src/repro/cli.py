@@ -824,8 +824,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="shard count for sharded jobs")
     serve.add_argument("--job-shard-mode", choices=("auto", "process", "inline"),
                        default="auto",
-                       help="sharded round dispatch: worker processes or "
-                            "inline ('auto' picks by machine)")
+                       help="sharded round dispatch: inline, or worker "
+                            "processes as an opt-in ('auto' runs inline)")
     serve.add_argument("--round-slo-ms", type=int, default=None, metavar="MS",
                        help="round latency SLO: trigger a round once the "
                             "oldest queued event has waited MS milliseconds")

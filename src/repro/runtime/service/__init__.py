@@ -12,8 +12,9 @@ that
   API, compiling submissions through the PR 6 optimizer — co-submitted
   queries share scans via ``translate_many``
   (:mod:`~repro.runtime.service.jobs`);
-* runs every job as incremental checkpoint-backed rounds on the serial
-  reference engine, so jobs survive worker crashes and expose
+* runs every job on live serial-engine operators fed in rounds
+  (:mod:`~repro.runtime.service.rounds`), checkpointed at every round
+  boundary, so jobs survive worker crashes and restarts and expose
   effectively-once sink output (PR 4's coordinator + stores);
 * serves per-job ``repro.metrics/v1`` trees and checkpoint state from
   ``/jobs/<id>/metrics`` and ``/jobs/<id>/checkpoints`` (PR 2's

@@ -1,4 +1,4 @@
-"""Job manager: live queries as incremental checkpoint-backed rounds.
+"""Job manager: live queries as long-lived dataflows fed in rounds.
 
 A *job* is one submission — a catalog query name, an inline pattern, or
 a co-submitted batch sharing scans via
@@ -7,19 +7,20 @@ the PR 6 optimizer into a dataflow whose every scan reads a single
 arrival-ordered ingestion log (one physical source node; the translator
 routes per type).
 
-Execution is *incremental replay*, built from the PR 4 fault-tolerance
-primitives rather than a new engine: ingested events queue in a bounded
-per-job ingress buffer; the worker drains them into the job's log and
-runs a **round** — a :class:`~repro.asp.runtime.backends.serial
-.SerialJob` over the same flow that restores the job's latest checkpoint
-(operator state, watermark progress, sink contents, source offset),
-replays the log from that offset, and checkpoints again at the end. The
-terminal watermark is withheld until the final drain round, so windows
-stay open across rounds exactly as they would in one continuous run.
-Crashes (injected or real ``InjectedFaultError``) retry from the latest
-checkpoint under the job's restart budget; sinks are part of every
-snapshot, so output is effectively-once across any number of worker
-restarts.
+Ingested events queue in a bounded per-job ingress buffer; the worker
+drains them into the job's log and runs a **round**: the new log suffix
+goes through the job's live operators — one long-lived
+:class:`~repro.asp.runtime.backends.serial.SerialJob` per lane (the whole
+flow, or one per shard; see :mod:`repro.runtime.service.rounds`) — and a
+round-boundary checkpoint follows. The terminal watermark is withheld
+until the final drain round, so windows stay open across rounds exactly
+as they would in one continuous run. Checkpoints are for recovery only:
+an injected crash (``InjectedFaultError``) drops the live job and the
+retry restores the latest checkpoint under the job's restart budget, and
+a ``--state-dir`` resume restores every lane once. Checkpoints count the
+sinks' items instead of copying them; rollback truncates the live sinks
+and resume reads them back from the lanes' output logs, so output is
+effectively-once across any number of restarts.
 
 Admission control: when a job's ingress queue is full the configured
 policy either **rejects** the event with a ``retry_after_ms`` hint or
@@ -37,20 +38,16 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.asp.datamodel import ComplexEvent, Event, TypeRegistry
-from repro.asp.operators.sink import CollectSink
-from repro.asp.operators.source import GeneratorSource, ListSource
+from repro.asp.operators.source import ListSource
 from repro.asp.runtime import (
-    CheckpointCoordinator,
     DirectoryCheckpointStore,
     ExecutionSettings,
     InMemoryCheckpointStore,
     RunResult,
-    merge_metric_trees,
     parse_fault_plan,
     run_report,
 )
-from repro.asp.runtime.backends.serial import SerialJob
-from repro.asp.runtime.fault.injection import FaultInjector, FaultPlan
+from repro.asp.runtime.fault.injection import FaultPlan
 from repro.asp.runtime.observability import MetricsRegistry
 from repro.errors import (
     ExecutionError,
@@ -70,6 +67,11 @@ from repro.runtime.service.events import (
 )
 from repro.runtime.service.rounds import (
     SHARD_MODES,
+    Lane,
+    RoundFeed,
+    build_lanes,
+    route_events,
+    run_lane_round,
     run_sharded_round,
     shutdown_pool,
 )
@@ -138,7 +140,8 @@ class ServiceConfig:
     job_backend: str = "auto"
     #: Shard count for sharded jobs.
     job_shards: int = 2
-    #: Sharded round dispatch: worker processes, inline, or auto.
+    #: Sharded round dispatch: "inline" ("auto" resolves to it) or the
+    #: opt-in "process" worker pool.
     shard_mode: str = "auto"
     #: Round SLO (ms): trigger a round once the oldest queued event has
     #: waited this long, independent of count/flush. None disables.
@@ -175,12 +178,12 @@ class Job:
     query_names: list[str]
     patterns: list[Any]
     plans: list[Any]
-    sinks: list[CollectSink]
+    #: Node id of each query's sink (the same in every lane's flow).
+    sink_ids: list[int]
     flow: Any
     settings: ExecutionSettings
+    #: The job's checkpoint namespace (sharded lanes use sub-scopes).
     store: Any
-    coordinator: CheckpointCoordinator
-    injector: FaultInjector
     event_types: frozenset[str]
     queue_limit: int
     admission: str
@@ -199,10 +202,8 @@ class Job:
     #: True when the job carries a fault plan (forces inline dispatch —
     #: injected crashes must fire exactly once across restarts).
     fault_active: bool = False
-    #: Per-shard checkpoint namespaces/coordinators/injectors (sharded).
-    shard_stores: list[Any] = field(default_factory=list)
-    shard_coordinators: list[CheckpointCoordinator] = field(default_factory=list)
-    shard_injectors: list[FaultInjector] = field(default_factory=list)
+    #: The live execution units: one lane, or one per shard.
+    lanes: list[Lane] = field(default_factory=list)
     #: Round SLO (ms); None disables deadline-triggered rounds.
     round_slo_ms: int | None = None
     #: Monotonic enqueue time of the oldest queued event (SLO clock).
@@ -284,13 +285,13 @@ class Job:
             ready = len(self.queue) >= self.round_events
         return {"accepted": True, "round_ready": ready}
 
-    def drain_queue(self) -> int:
-        """Move queued events into the log; unblocks waiting producers."""
+    def drain_queue(self) -> list[Event]:
+        """Move queued events into the log; unblocks waiting producers.
+        Returns the moved events."""
         with self.cond:
-            moved = len(self.queue)
-            if moved:
-                self.log.extend(self.queue)
-                self.queue.clear()
+            moved = list(self.queue)
+            self.log.extend(moved)
+            self.queue.clear()
             self.pending_since = None
             self.queue_depth.set(0)
             self.log_size.set(len(self.log))
@@ -338,21 +339,35 @@ class Job:
                 return False
         return True
 
+    def _collected(self, index: int) -> list[list[Any]]:
+        """The item lists of one query's sink, one per lane."""
+        node_id = self.sink_ids[index]
+        return [lane.sink(node_id).items for lane in self.lanes]
+
     def matches_of(self, index: int) -> list[ComplexEvent]:
-        sink = self.sinks[index]
         return [
             item if isinstance(item, ComplexEvent) else ComplexEvent((item,))
-            for item in sink.items
+            for items in self._collected(index)
+            for item in items
         ]
 
     def match_keys(self, name: str) -> list[str]:
         """Canonical (sorted dedup-key) matches of one tenant — the frozen
-        snapshot for a cancelled tenant, the live sink otherwise."""
+        snapshot for a cancelled tenant, the live sinks otherwise."""
         frozen = self.frozen_matches.get(name)
         if frozen is not None:
             return list(frozen)
         index = self.query_names.index(name)
         return sorted(repr(m.dedup_key()) for m in self.matches_of(index))
+
+    def match_count(self, name: str) -> int:
+        """How many matches :meth:`match_keys` would list, without
+        rendering them."""
+        frozen = self.frozen_matches.get(name)
+        if frozen is not None:
+            return len(frozen)
+        index = self.query_names.index(name)
+        return sum(len(items) for items in self._collected(index))
 
 
 def _parse_query_spec(spec: Any, index: int) -> tuple[str, Any, TranslationOptions]:
@@ -414,6 +429,17 @@ def _parse_query_spec(spec: Any, index: int) -> tuple[str, Any, TranslationOptio
     else:
         options = recommend_options(pattern).options
     return name, pattern, options
+
+
+def _checkpoint_summary(job: Job) -> dict[str, Any]:
+    """Checkpoint cost of the job: its lane's, or summed over shards."""
+    if job.backend != "sharded":
+        return job.lanes[0].coordinator.metrics()
+    return {
+        "count": sum(lane.coordinator.count for lane in job.lanes),
+        "bytes_total": sum(lane.coordinator.bytes_total for lane in job.lanes),
+        "interval": job.settings.checkpoint_interval,
+    }
 
 
 def _select_backend(
@@ -524,9 +550,10 @@ class JobManager:
         counters, then replay the ingestion WAL through each line's
         recorded routing set. That rebuilds every job's arrival-ordered
         log byte-identically — the per-job (and per-shard) checkpoints
-        on disk hold offsets into exactly this log, so the next round
-        restores the newest checkpoint and continues as if the process
-        had never died.
+        on disk hold offsets into exactly this log. Finally every lane
+        restores its newest checkpoint into a live job and reads its
+        sinks back from its output log, so results are served at once and
+        the next round continues as if the process had never died.
 
         Terminal jobs (drained/cancelled/failed) are not resurrected:
         their results were served by the previous incarnation and their
@@ -573,6 +600,11 @@ class JobManager:
                     job.log.append(event)
                     job.log_size.set(len(job.log))
             replayed += 1
+        for job in resumed.values():
+            with job.run_lock:
+                route_events(job, job.log)
+                for lane in job.lanes:
+                    lane.ensure_live(job.settings)
         self.resumed = {"jobs": sorted(resumed), "wal_events": replayed}
 
     def _persist_progress(self, job: Job) -> None:
@@ -689,8 +721,7 @@ class JobManager:
                     "translation", f"query '{name}' cannot be translated: {exc}"
                 ) from exc
 
-        log: list[Event] = []
-        shared = GeneratorSource(lambda: list(log), name=f"ingest[{job_id}]")
+        shared = RoundFeed(f"ingest[{job_id}]")
         event_types = frozenset(
             t for _n, pattern, _o in parsed
             for t in pattern.distinct_event_types()
@@ -753,23 +784,19 @@ class JobManager:
                 "bad-request", f"admission must be one of {AdmissionPolicy}"
             )
         store = self._base_store.scoped(job_id)
-        shard_count = shards if backend == "sharded" else 0
-        shard_stores = [
-            store.scoped(f"shard-{index}") for index in range(shard_count)
-        ]
-        plan = fault_plan or FaultPlan()
+        flow = multi.env.flow
+        sink_nodes = {id(node.operator): node.node_id for node in flow.sink_nodes()}
+        log: list[Event] = []
         job = Job(
             job_id=job_id,
             name=job_name,
             query_names=names,
             patterns=[p for _n, p, _o in parsed],
             plans=multi.plans,
-            sinks=list(multi.sinks),  # type: ignore[arg-type]
-            flow=multi.env.flow,
+            sink_ids=[sink_nodes[id(sink)] for sink in multi.sinks],
+            flow=flow,
             settings=settings,
             store=store,
-            coordinator=CheckpointCoordinator(store, checkpoint_interval),
-            injector=FaultInjector(fault_plan or FaultPlan()),
             event_types=event_types,
             queue_limit=int(request.get("queue_limit", self.config.queue_limit)),
             admission=admission,
@@ -781,19 +808,21 @@ class JobManager:
             shared_scans=multi.num_shared_scans,
             sharing=multi.sharing.as_dict() if multi.sharing is not None else None,
             backend=backend,
-            shards=max(1, shard_count),
+            shards=shards if backend == "sharded" else 1,
             key_attribute=key_attribute,
             shard_mode=shard_mode,
             fault_active=fault_plan is not None,
-            shard_stores=shard_stores,
-            shard_coordinators=[
-                CheckpointCoordinator(shard_store, checkpoint_interval)
-                for shard_store in shard_stores
-            ],
-            shard_injectors=[
-                FaultInjector(plan.for_shard(index) or FaultPlan())
-                for index in range(shard_count)
-            ],
+            lanes=build_lanes(
+                job_id,
+                flow,
+                log,
+                key_attribute=key_attribute,
+                shards=shards,
+                store=store,
+                interval=checkpoint_interval,
+                plan=fault_plan or FaultPlan(),
+                state=self.state,
+            ),
             round_slo_ms=int(round_slo_ms) if round_slo_ms is not None else None,
             tenant_states={name: "running" for name in names},
             log=log,
@@ -979,7 +1008,7 @@ class JobManager:
         """Drain the queue and process the new log suffix as one round."""
         with job.run_lock:
             queue_age = job.queue_age_ms(time.monotonic())
-            job.drain_queue()
+            route_events(job, job.drain_queue())
             with job.cond:
                 job.flush_requested = False
             new_events = len(job.log) - job.events_processed
@@ -991,7 +1020,7 @@ class JobManager:
             if job.backend == "sharded":
                 result = run_sharded_round(job, terminal)
             else:
-                result = self._serial_round(job, terminal)
+                result = run_lane_round(job, job.lanes[0], terminal)
             if result is None:
                 # The restart budget died mid-round; the job is FAILED.
                 self._persist_progress(job)
@@ -1001,53 +1030,16 @@ class JobManager:
             job.items_out = result.items_out
             job.wall_seconds += result.wall_seconds
             job.peak_state_bytes = max(job.peak_state_bytes, result.peak_state_bytes)
-            job.work_units += result.work_units
+            # Live operators count cumulatively: publish, never add up.
+            job.work_units = result.work_units
+            job.operator_tree = result.metrics.get("operators") or {}
             job.round_duration_ms.observe((time.perf_counter() - started) * 1000.0)
-            round_tree = result.metrics.get("operators") or {}
-            job.operator_tree = (
-                merge_metric_trees([job.operator_tree, round_tree])
-                if job.operator_tree
-                else round_tree
-            )
             if result.failed:
                 with job.cond:
                     job.state = JobState.FAILED
                     job.failure = result.failure
             self._persist_progress(job)
             return result
-
-    def _serial_round(self, job: Job, terminal: bool) -> RunResult | None:
-        """One serial-backend round with the checkpoint/restart protocol.
-
-        Caller holds ``run_lock``. Returns ``None`` when the restart
-        budget is exhausted (the job is already marked failed).
-        """
-        while True:
-            serial_job = SerialJob(
-                job.flow,
-                job.settings,
-                injector=job.injector,
-                coordinator=job.coordinator,
-            )
-            latest = job.store.latest()
-            if latest is None:
-                # Checkpoint 0: pristine pre-stream state, so even a
-                # crash in the first round can recover.
-                job.coordinator.take(serial_job)
-            else:
-                job.coordinator.restore_into(serial_job, latest)
-                serial_job.start_offset = latest.offset
-            try:
-                result = serial_job.run(terminal_watermark=terminal)
-                break
-            except InjectedFaultError as exc:
-                latest = job.store.latest()
-                if not job.record_restart(exc, latest.offset if latest else 0):
-                    return None
-                continue
-        # Round-boundary cut: the next round resumes exactly here.
-        job.coordinator.take(serial_job)
-        return result
 
     # -- drain / shutdown --------------------------------------------------
 
@@ -1104,8 +1096,7 @@ class JobManager:
             "round_slo_ms": job.round_slo_ms,
             "tenants": dict(job.tenant_states),
             "matches": {
-                name: len(job.match_keys(name))
-                for name in job.query_names
+                name: job.match_count(name) for name in job.query_names
             },
         }
 
@@ -1152,17 +1143,7 @@ class JobManager:
                 "shards": job.shards if job.backend == "sharded" else None,
                 "round_slo_ms": job.round_slo_ms,
                 "tenants": dict(job.tenant_states),
-                "checkpoints": (
-                    {
-                        "count": sum(c.count for c in job.shard_coordinators),
-                        "bytes_total": sum(
-                            c.bytes_total for c in job.shard_coordinators
-                        ),
-                        "interval": job.coordinator.interval,
-                    }
-                    if job.backend == "sharded"
-                    else job.coordinator.metrics()
-                ),
+                "checkpoints": _checkpoint_summary(job),
             }
         return report
 
@@ -1171,22 +1152,14 @@ class JobManager:
         with job.run_lock:
             # Sharded jobs keep checkpoint-per-shard in scoped substores;
             # the job-level view aggregates them (entries tagged by shard).
+            coordinator = _checkpoint_summary(job)
             if job.backend == "sharded":
-                stores = list(job.shard_stores)
-                coordinator = {
-                    "count": sum(c.count for c in job.shard_coordinators),
-                    "bytes_total": sum(
-                        c.bytes_total for c in job.shard_coordinators
-                    ),
-                    "interval": job.coordinator.interval,
-                    "shards": [c.metrics() for c in job.shard_coordinators],
-                }
-            else:
-                stores = [job.store]
-                coordinator = job.coordinator.metrics()
+                coordinator["shards"] = [
+                    lane.coordinator.metrics() for lane in job.lanes
+                ]
             entries = []
-            for shard, store in enumerate(stores):
-                for c in store.checkpoints():
+            for shard, lane in enumerate(job.lanes):
+                for c in lane.store.checkpoints():
                     entry = {
                         "checkpoint_id": c.checkpoint_id,
                         "offset": c.offset,

@@ -1,37 +1,47 @@
-"""Sharded incremental rounds: the O3 data plane of ``repro serve``.
+"""Live rounds: the data plane of ``repro serve``.
 
-A job whose every plan carries a partition attribute and whose merged
-dataflow passes the RA40x partition-safety proof runs its rounds here
-instead of on one serial worker. Each round:
+Every served job runs on *lanes*. A lane is one long-lived
+:class:`SerialJob` plus what it takes to rebuild it: a serial job has
+one lane over its whole flow; a sharded job (every plan carries the same
+O3 partition attribute and the merged dataflow passes the RA40x
+partition-safety proof) has one lane per shard, whose subgraphs are
+extracted once, when the job is built. A round:
 
-1. re-extracts per-shard subgraphs from the job's flow
-   (:func:`repro.asp.graph.extract_shards` hash-partitions the *current*
-   ingestion log with the stable ``partition_for`` split, so a shard's
-   substream only ever grows by appending — replay offsets from earlier
-   rounds stay valid);
-2. runs every shard as an independent :class:`SerialJob` that restores
-   the shard's latest checkpoint, replays its substream from that
-   offset, and withholds the terminal watermark until the drain round —
-   exactly the serial round protocol, per shard;
-3. takes a round-boundary checkpoint per shard (checkpoint-per-shard in
-   the job's scoped store), rebuilds the job's sinks from the shard sink
-   payloads, and merges the shard metric trees into one round tree.
+1. routes the newly logged events to the lanes' substreams — a serial
+   lane reads the job log itself; for a sharded job each event is
+   hash-routed once, with the stable ``partition_for`` split, to its
+   shard's substream;
+2. feeds each lane's unconsumed suffix through its live operators,
+   withholding the terminal watermark until the drain round, so windows
+   stay open across rounds exactly as in one continuous run;
+3. takes one round-boundary checkpoint per lane.
 
-Dispatch modes mirror :class:`~repro.asp.runtime.backends.sharded
-.ShardedBackend`: ``process`` ships cloudpickled (flow, settings,
-checkpoint payload) blobs to a shared spawn-context worker pool and gets
-(result, sinks, new checkpoint payload) back; ``inline`` runs shards
-sequentially in the worker thread; ``auto`` picks ``process`` on
-multi-core machines with cloudpickle available. Jobs with an active
-fault plan always run inline — injected crashes must fire exactly once
-across restarts, which needs the injector to live in this process. Any
-pool failure (fork/spawn rights, a broken worker) degrades the round to
-inline; correctness never depends on the pool.
+No round restores anything. A lane's live job is rebuilt from the lane's
+latest checkpoint only when it has none: after an injected crash (the
+retry runs under the job's restart budget) and after a ``--state-dir``
+resume. Checkpoints hold operator state, watermark progress, the
+per-operator counters and each sink's item count — never the items. An
+in-process rollback truncates the live sinks to the recorded counts; a
+resume reads them back from the lane's output log, which every
+checkpoint appends the sinks' new items to first (see
+:mod:`repro.runtime.service.state`).
 
-Equivalence argument: sharded-union ≡ serial holds per round because the
-hash split is stable and every stateful operator is key-local (the RA40x
-proof); incremental rounds ≡ one-shot holds per shard because each shard
-runs the PR 4 checkpoint/replay protocol on its own substream. The
+Sharded dispatch is ``inline`` (lanes run one after the other in the
+worker thread; ``auto`` resolves to it) or ``process``, an explicit
+opt-in: each round ships the pristine flow, the lane's latest checkpoint
+and its unconsumed events to a shared spawn-context worker pool, and
+gets back the result, the round's new sink items and the next checkpoint
+in the same format. Process-mode lanes therefore live in their
+checkpoints, not in this process. Jobs with an active fault plan always
+run inline — injected crashes must fire exactly once across restarts,
+which needs the injector to live here — and any pool failure degrades
+the round to inline, against the same checkpoints.
+
+Equivalence argument: sharded-union ≡ serial holds because the hash
+split is stable and every stateful operator is key-local (the RA40x
+proof); a lane fed its stream over several rounds ≡ one fed it at once,
+because a non-final round only withholds the terminal watermark; a
+restored lane ≡ the live one by the checkpoint/replay protocol. The
 composition is byte-identity of the drained job against a one-shot batch
 run, which the service tests and the ``serve-restart`` CI job enforce.
 """
@@ -43,17 +53,30 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Any
+from dataclasses import InitVar, dataclass, field
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
+from repro.asp.datamodel import Event
 from repro.asp.graph import Dataflow, extract_shards
-from repro.asp.operators.keyby import key_by_attribute
+from repro.asp.operators.keyby import key_by_attribute, partition_for
 from repro.asp.operators.sink import CollectSink
+from repro.asp.operators.source import Source
 from repro.asp.runtime.backends.base import ExecutionSettings
 from repro.asp.runtime.backends.serial import SerialJob
-from repro.asp.runtime.fault.checkpoint import capture_job_state, restore_job_state
-from repro.asp.runtime.fault.store import pickle_payload, unpickle_payload
+from repro.asp.runtime.fault.checkpoint import (
+    CheckpointCoordinator,
+    capture_job_state,
+    restore_job_state,
+)
+from repro.asp.runtime.fault.injection import FaultInjector, FaultPlan
+from repro.asp.runtime.fault.store import (
+    CheckpointStore,
+    pickle_payload,
+    unpickle_payload,
+)
 from repro.asp.runtime.result import RunResult, merge_shard_results
-from repro.errors import InjectedFaultError
+from repro.errors import ExecutionError, InjectedFaultError
+from repro.runtime.service.state import OutputLog, ServiceState
 
 try:  # cloudpickle ships lambdas; the inline mode works without it.
     import cloudpickle
@@ -63,23 +86,241 @@ except ImportError:  # pragma: no cover - present in the reference env
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.service.jobs import Job
 
-#: Shard sink payload: CollectSink node id -> cumulative collected items.
-SinkItems = dict[int, list[Any]]
-
 SHARD_MODES = ("auto", "process", "inline")
 
 _pool: ProcessPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
 
-def resolve_shard_mode(mode: str, shards: int) -> str:
-    """Collapse ``auto`` to a concrete dispatch mode for this machine."""
-    if mode != "auto":
-        return mode
-    cpus = os.cpu_count() or 1
-    if cpus > 1 and shards > 1 and cloudpickle is not None:
-        return "process"
-    return "inline"
+class RoundFeed(Source):
+    """A live job's source: the events it has not consumed yet.
+
+    Refilled before every run. It never reports itself materialized, so
+    the scheduler merges it generically and nothing caches per-source
+    arrays across runs.
+    """
+
+    def __init__(self, name: str):
+        super().__init__(name)
+        self.pending: list[Event] = []
+
+    def events(self) -> Iterator[Event]:
+        return iter(self.pending)
+
+
+def _collect_sinks(flow: Dataflow) -> Iterator[tuple[int, CollectSink]]:
+    for node in flow.sink_nodes():
+        if isinstance(node.operator, CollectSink):
+            yield node.node_id, node.operator
+
+
+def _feed_of(flow: Dataflow) -> RoundFeed:
+    (node,) = flow.source_nodes()
+    assert isinstance(node.source, RoundFeed), "served flows read a RoundFeed"
+    return node.source
+
+
+@dataclass
+class Lane:
+    """One live :class:`SerialJob` and what rebuilds it: a serial job's
+    whole flow, or one shard of a sharded job."""
+
+    flow: Dataflow
+    #: The lane's substream in arrival order (a serial lane's is the job
+    #: log itself); checkpoint offsets index into it.
+    events: list[Event]
+    store: CheckpointStore
+    injector: FaultInjector
+    interval: InitVar[int | None]
+    output: OutputLog | None = None
+    shard: int | None = None
+    live: SerialJob | None = None
+    #: Items per sink node already in the output log.
+    logged: dict[int, int] = field(default_factory=dict)
+
+    def __post_init__(self, interval: int | None) -> None:
+        self.feed = _feed_of(self.flow)
+        self.coordinator = CheckpointCoordinator(
+            self.store, interval, detach_sinks=True, before_save=self.persist_output
+        )
+
+    def sinks(self) -> Iterator[tuple[int, CollectSink]]:
+        return _collect_sinks(self.flow)
+
+    def sink(self, node_id: int) -> CollectSink:
+        sink = self.flow.nodes[node_id].operator
+        assert isinstance(sink, CollectSink), "served queries collect their matches"
+        return sink
+
+    def persist_output(self) -> None:
+        """Append the sinks' not-yet-logged items to the output log."""
+        if self.output is None:
+            return
+        batches = []
+        for node_id, sink in self.sinks():
+            start = self.logged.get(node_id, 0)
+            batches.append((node_id, start, sink.items[start:]))
+            self.logged[node_id] = len(sink.items)
+        self.output.append(batches)
+
+    def ensure_live(self, settings: ExecutionSettings) -> SerialJob:
+        """The lane's live job, rebuilt from the latest checkpoint only
+        when there is none (first round, after a crash, after a resume)."""
+        if self.live is not None:
+            return self.live
+        job = SerialJob(
+            self.flow, settings, injector=self.injector, coordinator=self.coordinator
+        )
+        latest = self.store.latest()
+        if latest is None:
+            # Checkpoint 0: pristine pre-stream state, so even a crash in
+            # the first round can recover.
+            self.coordinator.take(job)
+        else:
+            self.coordinator.restore_into(job, latest)
+            job.events_in = latest.offset
+            self._refill_sinks()
+        self.live = job
+        return job
+
+    def _refill_sinks(self) -> None:
+        """After a restore the sinks hold at most their recorded counts.
+
+        In-process rollback is complete at that point. A lane's first
+        restore in this process (a resume) reads its sinks back from the
+        output log instead, which also cuts off a torn tail.
+        """
+        if self.output is not None and not self.logged:
+            logged = self.output.load()
+            for node_id, sink in self.sinks():
+                items = logged.get(node_id, [])
+                if len(items) < sink.count:
+                    raise ExecutionError(
+                        f"output log of '{self.flow.name}' holds {len(items)} "
+                        f"items of sink {node_id}, its checkpoint counts {sink.count}"
+                    )
+                sink.items[:] = items[: sink.count]
+        self.logged = {node_id: sink.count for node_id, sink in self.sinks()}
+
+
+def build_lanes(
+    job_id: str,
+    flow: Dataflow,
+    log: list[Event],
+    *,
+    key_attribute: str | None,
+    shards: int,
+    store: CheckpointStore,
+    interval: int | None,
+    plan: FaultPlan,
+    state: ServiceState | None,
+) -> list[Lane]:
+    """The lanes of a new job: one over ``flow`` itself, or one per shard
+    of it when the job is sharded on ``key_attribute``."""
+
+    def output(shard: int | None) -> OutputLog | None:
+        return state.output_log(job_id, shard) if state is not None else None
+
+    if key_attribute is None:
+        return [Lane(flow, log, store, FaultInjector(plan), interval, output(None))]
+    lanes = []
+    shard_flows = extract_shards(flow, shards, key_by_attribute(key_attribute))
+    for index, sub in enumerate(shard_flows):
+        for node in sub.source_nodes():
+            node.payload = RoundFeed(node.source.name)
+        lanes.append(Lane(
+            sub,
+            [],
+            store.scoped(f"shard-{index}"),
+            FaultInjector(plan.for_shard(index) or FaultPlan()),
+            interval,
+            output(index),
+            shard=index,
+        ))
+    return lanes
+
+
+def route_events(job: "Job", events: Iterable[Event]) -> None:
+    """Append newly logged events to a sharded job's shard substreams.
+
+    Each event is hash-partitioned exactly once, when it enters the log.
+    A serial job's lane reads the job log itself.
+    """
+    if job.key_attribute is None:
+        return
+    key = key_by_attribute(job.key_attribute)
+    lanes = job.lanes
+    for event in events:
+        lanes[partition_for(key(event), len(lanes))].events.append(event)
+
+
+def run_lane_round(job: "Job", lane: Lane, terminal: bool) -> RunResult | None:
+    """One lane's round: its unconsumed events through the live operators,
+    then the round-boundary checkpoint.
+
+    An injected crash drops the live job; the retry rebuilds it from the
+    latest checkpoint, under the job's restart budget. Returns ``None``
+    once that budget is exhausted (the job is already marked failed).
+    Caller holds the job's ``run_lock``.
+    """
+    while True:
+        live = lane.ensure_live(job.settings)
+        lane.feed.pending = lane.events[live.events_in:]
+        try:
+            result = live.run(terminal_watermark=terminal)
+            break
+        except InjectedFaultError as exc:
+            lane.live = None
+            latest = lane.store.latest()
+            if not job.record_restart(
+                exc, latest.offset if latest else 0, shard=lane.shard
+            ):
+                return None
+        finally:
+            lane.feed.pending = []
+    lane.coordinator.take(live)
+    # Figure-5 samples are not served; a live job must not accumulate them.
+    live.instrumentation.samples = []
+    return result
+
+
+def run_sharded_round(job: "Job", terminal: bool) -> RunResult | None:
+    """One round across all of a sharded job's lanes, merged.
+
+    Returns ``None`` when a shard exhausted the job's restart budget (the
+    job is already marked failed). Caller holds the job's ``run_lock``.
+    """
+    started = time.perf_counter()
+    mode = "inline" if job.shard_mode == "auto" else job.shard_mode
+    if mode == "process" and (job.fault_active or cloudpickle is None):
+        mode = "inline"
+    results: list[RunResult] | None = None
+    if mode == "process":
+        try:
+            results = _round_in_pool(job, terminal)
+        except (OSError, BrokenProcessPool):
+            # Containers without spawn rights or a poisoned pool: the
+            # round still happens, inline, against the same checkpoints.
+            shutdown_pool()
+    if results is None:
+        mode = "inline"
+        results = []
+        for lane in job.lanes:
+            result = run_lane_round(job, lane, terminal)
+            if result is None:
+                return None
+            results.append(result)
+    return merge_shard_results(
+        job.flow.name,
+        results,
+        time.perf_counter() - started,
+        shards=len(job.lanes),
+        mode=mode,
+        key_attribute=job.key_attribute or "id",
+    )
+
+
+# -- process dispatch -------------------------------------------------------
 
 
 def _shared_pool() -> ProcessPoolExecutor:
@@ -112,151 +353,48 @@ def shutdown_pool() -> None:
 
 
 def _round_shard_entry(blob: bytes) -> bytes:
-    """Worker-process entry: one shard's round, checkpoint in/out.
+    """Worker-process entry: one shard's round, checkpoint in and out.
 
-    The parent owns the checkpoint store; the worker only transforms a
-    restored state payload into a new one (plus the run result and the
-    cumulative sink contents). Cadence checkpoints inside the round are
-    skipped in process mode — the round boundary is the durable cut.
+    Restores the lane's checkpoint into the shipped pristine flow, feeds
+    it the lane's unconsumed events and returns the result, the sinks'
+    new items and the next checkpoint payload. Cadence checkpoints inside
+    the round are skipped — the round boundary is the durable cut.
     """
-    flow, settings, payload, offset, terminal = cloudpickle.loads(blob)
+    flow, settings, payload, offset, events, terminal = cloudpickle.loads(blob)
+    _feed_of(flow).pending = events
     job = SerialJob(flow, settings)
     if payload is not None:
         restore_job_state(job, unpickle_payload(payload))
-        job.start_offset = offset
+        job.events_in = offset
     result = job.run(terminal_watermark=terminal)
-    state = pickle_payload(capture_job_state(job))
-    sinks = _sink_items(flow)
-    return cloudpickle.dumps((result, sinks, state, job.events_in))
+    state = pickle_payload(capture_job_state(job, detach_sinks=True))
+    new_items = {node_id: sink.items for node_id, sink in _collect_sinks(flow)}
+    return cloudpickle.dumps((result, new_items, state, job.events_in))
 
 
-def _sink_items(flow: Dataflow) -> SinkItems:
-    return {
-        node.node_id: list(node.operator.items)
-        for node in flow.sink_nodes()
-        if isinstance(node.operator, CollectSink)
-    }
-
-
-def run_sharded_round(job: "Job", terminal: bool) -> RunResult | None:
-    """One incremental round across all of the job's shards.
-
-    Returns the merged round result, or ``None`` when a shard exhausted
-    the job's restart budget (the job is already marked failed).
-    Caller holds the job's ``run_lock``.
-    """
-    shard_flows = extract_shards(
-        job.flow, job.shards, key_by_attribute(job.key_attribute or "id")
-    )
-    started = time.perf_counter()
-    mode = resolve_shard_mode(job.shard_mode, job.shards)
-    if mode == "process" and (job.fault_active or cloudpickle is None):
-        mode = "inline"
-    outcomes: list[tuple[RunResult, SinkItems]] | None = None
-    if mode == "process":
-        try:
-            outcomes = _round_in_pool(job, shard_flows, terminal)
-        except (OSError, PermissionError, BrokenProcessPool):
-            # Containers without spawn rights or a poisoned pool: the
-            # round still happens, sequentially, against the same
-            # checkpoints.
-            shutdown_pool()
-            outcomes = None
-    if outcomes is None:
-        mode = "inline"
-        outcomes = []
-        for index, flow in enumerate(shard_flows):
-            outcome = _round_inline(job, index, flow, terminal)
-            if outcome is None:
-                return None
-            outcomes.append(outcome)
-    wall = time.perf_counter() - started
-    _publish_sinks(job, [items for _result, items in outcomes])
-    return merge_shard_results(
-        job.flow.name,
-        [result for result, _items in outcomes],
-        wall,
-        shards=job.shards,
-        mode=mode,
-        key_attribute=job.key_attribute or "id",
-    )
-
-
-def _round_inline(
-    job: "Job", index: int, flow: Dataflow, terminal: bool
-) -> tuple[RunResult, SinkItems] | None:
-    """One shard's round in-process, with the serial retry protocol."""
-    store = job.shard_stores[index]
-    coordinator = job.shard_coordinators[index]
-    injector = job.shard_injectors[index]
-    while True:
-        serial_job = SerialJob(
-            flow, job.settings, injector=injector, coordinator=coordinator
-        )
-        latest = store.latest()
-        if latest is None:
-            # Checkpoint 0: pristine pre-stream state per shard.
-            coordinator.take(serial_job)
-        else:
-            coordinator.restore_into(serial_job, latest)
-            serial_job.start_offset = latest.offset
-        try:
-            result = serial_job.run(terminal_watermark=terminal)
-            break
-        except InjectedFaultError as exc:
-            latest = store.latest()
-            if not job.record_restart(
-                exc, latest.offset if latest else 0, shard=index
-            ):
-                return None
-            continue
-    coordinator.take(serial_job)
-    return result, _sink_items(flow)
-
-
-def _round_in_pool(
-    job: "Job", shard_flows: list[Dataflow], terminal: bool
-) -> list[tuple[RunResult, SinkItems]]:
-    """All shards' rounds on the worker pool; checkpoints stay parental."""
+def _round_in_pool(job: "Job", terminal: bool) -> list[RunResult]:
+    """All lanes' rounds on the worker pool; checkpoints stay parental."""
     shipped: ExecutionSettings = job.settings.without_hooks()
     blobs = []
-    for index, flow in enumerate(shard_flows):
-        latest = job.shard_stores[index].latest()
-        blobs.append(
-            cloudpickle.dumps(
-                (
-                    flow,
-                    shipped,
-                    latest.payload if latest is not None else None,
-                    latest.offset if latest is not None else 0,
-                    terminal,
-                )
-            )
-        )
+    for lane in job.lanes:
+        latest = lane.store.latest()
+        offset = latest.offset if latest is not None else 0
+        payload: Any = latest.payload if latest is not None else None
+        # job.flow is the never-run template the shards were cut from.
+        blobs.append(cloudpickle.dumps(
+            (job.flow, shipped, payload, offset, lane.events[offset:], terminal)
+        ))
     pool = _shared_pool()
     futures = [pool.submit(_round_shard_entry, blob) for blob in blobs]
-    outcomes: list[tuple[RunResult, SinkItems]] = []
-    for index, future in enumerate(futures):
-        result, sinks, state, events_in = cloudpickle.loads(future.result())
-        job.shard_coordinators[index].save_payload(state, events_in)
-        outcomes.append((result, sinks))
-    return outcomes
-
-
-def _publish_sinks(job: "Job", shard_items: list[SinkItems]) -> None:
-    """Rebuild the job's caller-visible sinks from the shard payloads.
-
-    Shard sink state is cumulative (restored with every checkpoint), so
-    each round *replaces* the job's sink contents with the union — in
-    deterministic event-time order, ties broken by shard index.
-    """
-    merged: dict[int, list[Any]] = {}
-    for items in shard_items:
-        for node_id, collected in items.items():
-            merged.setdefault(node_id, []).extend(collected)
-    for node_id, collected in merged.items():
-        sink = job.flow.nodes[node_id].operator
-        if not isinstance(sink, CollectSink):  # pragma: no cover
-            continue
-        sink.items[:] = sorted(collected, key=lambda item: item.ts)
-        sink.count = len(sink.items)
+    outcomes = [cloudpickle.loads(future.result()) for future in futures]
+    results = []
+    for lane, (result, new_items, state, events_in) in zip(job.lanes, outcomes):
+        lane.live = None  # this lane lives in its checkpoints
+        for node_id, items in new_items.items():
+            sink = lane.sink(node_id)
+            sink.items.extend(items)
+            sink.count = len(sink.items)
+        lane.persist_output()
+        lane.coordinator.save_payload(state, events_in)
+        results.append(result)
+    return results

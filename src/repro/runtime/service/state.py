@@ -1,11 +1,14 @@
-"""Durable service state: job manifests, progress records, ingestion WAL.
+"""Durable service state: job manifests, progress, ingestion WAL, output logs.
 
-The checkpoint store (PR 4) already persists *operator* state per job —
-what a restarted server cannot rebuild from it is everything around the
-operators: which jobs existed (their original submit requests), how far
-each had processed, and the arrival-ordered ingestion log whose replay
-offsets the checkpoints point into. This module owns that layout, under
-the service's ``--state-dir``::
+The checkpoint store (``repro.asp.runtime.fault``) persists *operator*
+state per job (or shard) — what a restarted server cannot rebuild from
+it is everything around the operators: which jobs existed (their
+original submit requests), how far each had processed, the
+arrival-ordered ingestion log whose replay offsets the checkpoints point
+into, and the output the jobs already produced. Served checkpoints
+record only how many items each sink held; the items themselves live in
+an append-only output log next to the checkpoints. This module owns that
+layout, under the service's ``--state-dir``::
 
     <state_dir>/
         ingest.wal             service-wide ingestion WAL (NDJSON)
@@ -14,6 +17,10 @@ the service's ``--state-dir``::
             job.json           the original submit request (immutable)
             state.json         progress: lifecycle state, counters, tenants
             manifest.json ...  the job's checkpoint chain (PR 4 store)
+            outputs.log        serial jobs: the sinks' items (see OutputLog)
+            shard-<i>/
+                manifest.json ...  sharded jobs: one checkpoint chain and
+                outputs.log        one output log per shard
 
 **The WAL is service-wide, not per-job.** One admitted event can route
 to several jobs; logging it per job would open a window where a kill −9
@@ -29,13 +36,21 @@ Replaying the WAL through the normal routing order rebuilds every job's
 arrival-ordered log byte-identically, so per-job (and per-shard)
 checkpoint offsets stay valid across the restart.
 
+**Output logs are written before the checkpoint that counts them.** A
+live job appends its sinks' new items just before each checkpoint
+capture, so a checkpoint never counts an item its output log lacks;
+resume reads each sink back up to the count the restored checkpoint
+records and ignores anything after it.
+
 Writes are flushed per line but not fsynced: the resume guarantee
 targets process death (SIGKILL), where the page cache survives.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import pickle
 import threading
 from pathlib import Path
 from typing import IO, Any, Iterator
@@ -44,6 +59,7 @@ _MANIFEST = "job.json"
 _PROGRESS = "state.json"
 _WAL = "ingest.wal"
 _TRACKER = "tracker.json"
+_OUTPUTS = "outputs.log"
 
 
 class ServiceState:
@@ -135,6 +151,15 @@ class ServiceState:
                     break
                 yield doc["event"], [str(j) for j in doc.get("jobs", [])]
 
+    # -- output logs -------------------------------------------------------
+
+    def output_log(self, job_id: str, shard: int | None = None) -> "OutputLog":
+        """The output log of one job, or of one shard of a sharded job."""
+        path = self.job_dir(job_id)
+        if shard is not None:
+            path = path / f"shard-{shard}"
+        return OutputLog(path / _OUTPUTS)
+
     # -- tracker snapshot --------------------------------------------------
 
     def write_tracker(self, snapshot: dict[str, Any]) -> None:
@@ -159,6 +184,72 @@ class ServiceState:
         tmp = path.with_suffix(path.suffix + ".tmp")
         tmp.write_text(json.dumps(doc, indent=2, sort_keys=True))
         tmp.replace(path)
+
+
+class OutputLog:
+    """Append-only log of the items one live job's sinks collected.
+
+    One NDJSON line per sink and append: the sink's node id, the index of
+    its first item in that sink's output, and the items (pickled, base64)::
+
+        {"sink": 7, "start": 120, "items": "gAWV..."}
+
+    Reading replays the lines in order; a line whose ``start`` falls
+    inside what earlier lines hold supersedes the rest (output appended
+    after the newest checkpoint of an earlier incarnation, then rolled
+    back). Like the ingestion WAL, the first torn or undecodable line ends
+    the log; :meth:`load` also cuts it off the file, so later appends
+    start on a clean line.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+
+    def append(self, batches: list[tuple[int, int, list[Any]]]) -> None:
+        """Append ``(sink node id, start index, items)`` batches."""
+        lines = [
+            json.dumps({
+                "sink": sink,
+                "start": start,
+                "items": base64.b64encode(
+                    pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
+                ).decode("ascii"),
+            })
+            for sink, start, items in batches
+            if items
+        ]
+        if not lines:
+            return
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with self.path.open("a", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+
+    def load(self) -> dict[int, list[Any]]:
+        """Every sink's logged items, in output order."""
+        out: dict[int, list[Any]] = {}
+        if not self.path.exists():
+            return out
+        good = 0
+        with self.path.open("rb") as handle:
+            for raw in handle:
+                if not raw.endswith(b"\n"):
+                    break
+                try:
+                    doc = json.loads(raw)
+                    items = pickle.loads(base64.b64decode(doc["items"]))
+                    sink, start = int(doc["sink"]), int(doc["start"])
+                except (ValueError, KeyError, TypeError, pickle.UnpicklingError, EOFError):
+                    break
+                collected = out.setdefault(sink, [])
+                if start > len(collected):
+                    break
+                del collected[start:]
+                collected.extend(items)
+                good += len(raw)
+        if good < self.path.stat().st_size:
+            with self.path.open("r+b") as handle:
+                handle.truncate(good)
+        return out
 
 
 def _job_order(job_id: str) -> int:

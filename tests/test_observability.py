@@ -479,3 +479,23 @@ class TestBenchRegressionGate:
         )
         assert rc == 0
         assert json.loads(base_path.read_text()) == _summary(self.CELLS)
+
+    @pytest.mark.parametrize(
+        ("serial", "sharded", "breaches"),
+        [(1.1, 1.4, 0), (1.6, 1.0, 1), (4.6, 7.5, 2), (None, 1.0, 1)],
+    )
+    def test_history_growth_ceiling(self, serial, sharded, breaches):
+        def cell(growth):
+            doc = {"throughput_tps": 1.0, "matches": 5, "events_in": 8, "failed": False}
+            if growth is not None:
+                doc["growth"] = growth
+            return doc
+
+        summary = {"experiments": {"serve_history": {"cells": {
+            "SEQ-o3|serial|rounds=8": cell(serial),
+            "SEQ-o3|sharded|rounds=8": cell(sharded),
+        }}}}
+        found = _load_gate().check_cell_ceilings(summary)
+        assert len(found) == breaches, found
+        # A summary that did not run the experiment is not held to it.
+        assert _load_gate().check_cell_ceilings(_summary(self.CELLS)) == []

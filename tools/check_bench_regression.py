@@ -314,6 +314,47 @@ def check_serve_cells(summary: dict) -> list[str]:
     return breaches
 
 
+#: Ceilings on a value a cell records itself, as rows of
+#: (experiment, approach, cell field, ceiling). The values are ratios of
+#: two timings from the same run, so they hold on any machine. ROADMAP
+#: item 1: on the 8-round history feed a served job's last round may
+#: cost at most 1.5x its second, on the serial and the sharded backend.
+CELL_CEILINGS = (
+    ("serve_history", "serial", "growth", 1.5),
+    ("serve_history", "sharded", "growth", 1.5),
+)
+
+
+def check_cell_ceilings(summary: dict) -> list[str]:
+    """Every :data:`CELL_CEILINGS` row against the cells it names.
+
+    Experiments the summary did not run are skipped; a run experiment
+    without the named cell or field is a breach.
+    """
+    breaches: list[str] = []
+    experiments = summary.get("experiments", {})
+    for experiment, approach, field, ceiling in CELL_CEILINGS:
+        if experiment not in experiments:
+            continue
+        cells = {
+            key: cell
+            for key, cell in experiments[experiment].get("cells", {}).items()
+            if key.split("|")[1] == approach
+        }
+        if not cells:
+            breaches.append(f"{experiment}: no '{approach}' cell to hold to its ceiling")
+        for key, cell in sorted(cells.items()):
+            value = cell.get(field)
+            if value is None:
+                breaches.append(f"{experiment}/{key}: no '{field}' recorded")
+            elif value > ceiling:
+                breaches.append(
+                    f"{experiment}/{key}: {field} {value:.2f} above the "
+                    f"ceiling {ceiling:.2f}"
+                )
+    return breaches
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("summary", type=Path, help="summary.json produced by the benchmark run")
@@ -357,6 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         + check_columnar_cells(summary)
         + check_optimizer_cells(summary)
         + check_serve_cells(summary)
+        + check_cell_ceilings(summary)
     )
     ratios: dict[tuple[str, str], float] = {}
     for experiment, key, cell in iter_cells(summary):

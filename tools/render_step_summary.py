@@ -113,6 +113,13 @@ def render_serve(report: dict) -> list[str]:
             "durable duplicates.",
             "",
         ]
+        if mode.get("rounds_before_kill"):
+            lines += [
+                f"The kill came after **{mode['rounds_before_kill']}** completed "
+                "rounds per job; the restart served every pre-kill match "
+                "from the jobs' output logs before any new round.",
+                "",
+            ]
     lines += [
         "| query | server matches | batch matches | byte-identical |",
         "| --- | ---: | ---: | --- |",

@@ -16,7 +16,10 @@ drives it exactly like a tenant would:
    events). With ``--kill-after N`` the server is SIGKILLed after N
    events, restarted against the same ``--state-dir``, checked for
    resumed jobs, and the *whole* stream is re-sent (the durable prefix
-   must deduplicate);
+   must deduplicate). ``--rounds-before-kill R`` first waits until every
+   job completed R rounds, and requires the restarted server to serve at
+   least the matches it served before the kill (read back from the
+   jobs' output logs, before any new round);
 3. drain, and assert every query's matches are byte-identical to the
    one-shot batch reference computed in this process;
 4. assert the metrics endpoint serves a ``repro.metrics/v1`` tree with
@@ -33,6 +36,8 @@ Usage::
         --report serve-smoke-report.json --log serve-smoke.log
     PYTHONPATH=src python tools/serve_smoke.py --events 2000 \
         --group --sharded --kill-after 900 --report serve-restart.json
+    PYTHONPATH=src python tools/serve_smoke.py --events 2000 \
+        --group --sharded --kill-after 1600 --rounds-before-kill 2
 """
 
 from __future__ import annotations
@@ -152,6 +157,28 @@ def start_server(
     return proc, ready_file
 
 
+def wait_for_rounds(client, job_ids, rounds, timeout):
+    """Poll until every job completed ``rounds`` rounds and processed all
+    it logged (no round in flight, so its matches are all checkpointed);
+    returns their statuses (empty when ``rounds`` is 0)."""
+    if rounds <= 0:
+        return {}
+    deadline = time.monotonic() + timeout
+    while True:
+        statuses = {job_id: client.job(job_id) for job_id in job_ids}
+        if all(
+            doc["rounds"] >= rounds
+            and doc["queue_depth"] == 0
+            and doc["events_processed"] == doc["events_logged"]
+            for doc in statuses.values()
+        ):
+            return statuses
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"jobs did not complete {rounds} rounds: "
+                               f"{ {j: d['rounds'] for j, d in statuses.items()} }")
+        time.sleep(0.05)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--events", type=int, default=2000)
@@ -166,6 +193,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="SIGKILL the server after N streamed events, "
                              "restart against the same state dir, and "
                              "re-send the whole stream")
+    parser.add_argument("--rounds-before-kill", type=int, default=0, metavar="R",
+                        help="with --kill-after: wait until every job "
+                             "completed R rounds before the SIGKILL")
     parser.add_argument("--state-dir", metavar="DIR",
                         help="durable state root (default: a temp dir; "
                              "required implicitly by --kill-after)")
@@ -184,6 +214,7 @@ def main(argv: list[str] | None = None) -> int:
             "group": args.group,
             "sharded": args.sharded,
             "kill_after": args.kill_after,
+            "rounds_before_kill": args.rounds_before_kill,
         },
     }
     failures: list[str] = []
@@ -257,6 +288,10 @@ def main(argv: list[str] | None = None) -> int:
                     f"streamed {len(prefix)} events pre-kill: "
                     f"accepted={summary['accepted']}"
                 )
+                before = wait_for_rounds(
+                    client, sorted(set(jobs.values())),
+                    args.rounds_before_kill, args.timeout,
+                )
                 proc.send_signal(signal.SIGKILL)
                 proc.wait(timeout=args.timeout)
                 print(f"killed server (SIGKILL) after {len(prefix)} events; "
@@ -286,6 +321,17 @@ def main(argv: list[str] | None = None) -> int:
                         failures.append(
                             f"{job_id}: resumed in state {status['state']}"
                         )
+                    if job_id not in before:
+                        continue
+                    for name, count in before[job_id]["matches"].items():
+                        if status["matches"][name] < count:
+                            failures.append(
+                                f"{job_id}/{name}: {status['matches'][name]} "
+                                f"matches after restart, {count} before the kill"
+                            )
+                report["matches_before_kill"] = {
+                    job_id: doc["matches"] for job_id, doc in before.items()
+                }
 
             # The full stream — after a kill this is the producer's
             # re-send: the durable prefix must dedup, the rest is fresh.
