@@ -562,6 +562,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     resumes every non-terminal job exactly where the log left off.
     """
     import asyncio
+    import gc
     import json
     import signal
 
@@ -595,6 +596,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     async def _serve() -> None:
         await service.start()
+        # Modules, compiled plans and resumed jobs live as long as the
+        # process: move them out of the collector's way, so a full
+        # collection during a round scans only what ingestion added.
+        gc.freeze()
         print(
             f"repro serve: control http://{service.host}:{service.http_port} | "
             f"ingest tcp {service.host}:{service.tcp_port}",

@@ -168,18 +168,24 @@ class SourceTracker:
         self.gaps = 0
         self.events = 0
 
+    def is_duplicate(self, source: str | None, seq: int | None) -> bool:
+        """True when :meth:`admit` would drop the event (no accounting)."""
+        if source is None or seq is None:
+            return False
+        last = self.last_seq.get(source)
+        return last is not None and seq <= last
+
     def admit(self, source: str | None, seq: int | None) -> bool:
         """True when the event is new; False for a replayed duplicate."""
         self.events += 1
+        if self.is_duplicate(source, seq):
+            self.duplicates += 1
+            return False
         if source is None or seq is None:
             return True
         last = self.last_seq.get(source)
-        if last is not None:
-            if seq <= last:
-                self.duplicates += 1
-                return False
-            if seq > last + 1:
-                self.gaps += 1
+        if last is not None and seq > last + 1:
+            self.gaps += 1
         self.last_seq[source] = seq
         return True
 

@@ -35,7 +35,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.asp.datamodel import ComplexEvent, Event, TypeRegistry
 from repro.asp.operators.source import ListSource
@@ -249,41 +249,49 @@ class Job:
 
     # -- ingestion ---------------------------------------------------------
 
-    def offer(self, event: Event, *, wait: bool, draining: bool) -> dict[str, Any]:
-        """Admit one event into the ingress queue (admission control).
+    def admit(self, staged: int, *, draining: bool) -> dict[str, Any] | None:
+        """Admission control for one more event; None when it may queue.
 
-        Returns ``{"accepted": bool, ...}``; when rejected, carries the
-        stable ``reason`` and a ``retry_after_ms`` hint.
+        ``staged`` counts this job's admitted events that are not queued
+        yet. A refusal carries the stable ``reason``, plus a
+        ``retry_after_ms`` hint for a full queue.
         """
         with self.cond:
             if self.state != JobState.RUNNING or draining:
-                return {"accepted": False, "reason": f"job-{self.state}"
-                        if self.state != JobState.RUNNING else "draining"}
-            if len(self.queue) >= self.queue_limit:
-                if self.admission == "block" and wait:
-                    self.blocked.inc()
-                    while (
-                        len(self.queue) >= self.queue_limit
-                        and self.state == JobState.RUNNING
-                    ):
-                        self.cond.wait(timeout=0.05)
-                    if self.state != JobState.RUNNING:
-                        self.rejected.inc()
-                        return {"accepted": False, "reason": f"job-{self.state}"}
-                else:
-                    self.rejected.inc()
-                    return {
-                        "accepted": False,
-                        "reason": "queue-full",
-                        "retry_after_ms": self.retry_after_ms,
-                    }
+                return _refusal(self.state)
+            if len(self.queue) + staged < self.queue_limit:
+                return None
+            self.rejected.inc()
+            return {"reason": "queue-full", "retry_after_ms": self.retry_after_ms}
+
+    def must_wait(self, staged: int) -> bool:
+        """True when *block*-mode admission must park until the worker
+        drains the queue (``staged`` as for :meth:`admit`)."""
+        if self.admission != "block":
+            return False
+        with self.cond:
+            return (
+                self.state == JobState.RUNNING
+                and len(self.queue) + staged >= self.queue_limit
+            )
+
+    def wait_for_room(self) -> None:
+        """Park until the queue has room or the job stops running."""
+        with self.cond:
+            self.blocked.inc()
+            while len(self.queue) >= self.queue_limit and self.state == JobState.RUNNING:
+                self.cond.wait(timeout=0.05)
+            if self.state != JobState.RUNNING:
+                self.rejected.inc()
+
+    def publish(self, events: list[Event]) -> None:
+        """Queue admitted events whose WAL lines are flushed."""
+        with self.cond:
             if not self.queue:
                 self.pending_since = time.monotonic()
-            self.queue.append(event)
-            self.accepted.inc()
+            self.queue.extend(events)
+            self.accepted.inc(len(events))
             self.queue_depth.set(len(self.queue))
-            ready = len(self.queue) >= self.round_events
-        return {"accepted": True, "round_ready": ready}
 
     def drain_queue(self) -> list[Event]:
         """Move queued events into the log; unblocks waiting producers.
@@ -368,6 +376,16 @@ class Job:
             return len(frozen)
         index = self.query_names.index(name)
         return sum(len(items) for items in self._collected(index))
+
+
+#: An admitted event (with its source and seq) and the jobs it goes to,
+#: waiting for its WAL line before it is queued.
+_Staged = tuple[Event, "str | None", "int | None", list[Job]]
+
+
+def _refusal(state: str) -> dict[str, Any]:
+    """Why a job refuses events: it stopped running, or the server drains."""
+    return {"reason": f"job-{state}" if state != JobState.RUNNING else "draining"}
 
 
 def _parse_query_spec(spec: Any, index: int) -> tuple[str, Any, TranslationOptions]:
@@ -628,7 +646,9 @@ class JobManager:
                     for name, keys in job.frozen_matches.items()
                 },
             }
-        self.state.write_progress(job.job_id, progress)
+            # Written under the job's lock: a cancel and the worker's
+            # round may persist at once, and the newer record must win.
+            self.state.write_progress(job.job_id, progress)
 
     # -- submit / cancel ---------------------------------------------------
 
@@ -841,7 +861,9 @@ class JobManager:
 
     def cancel(self, job_id: str) -> dict[str, Any]:
         job = self._get(job_id)
-        with job.cond:
+        # The ingestion lock keeps a cancel between an ingested block's
+        # admission and its publication out.
+        with self._ingest_lock, job.cond:
             if job.state == JobState.RUNNING:
                 job.state = JobState.CANCELLED
                 job.queue.clear()
@@ -892,72 +914,122 @@ class JobManager:
         *,
         wait: bool = True,
     ) -> dict[str, Any]:
-        """Route one event to every running job that scans its type.
+        """Route one event to every running job that scans its type."""
+        return self.ingest_block([(event, source, seq)], wait=wait)[0]
 
-        With a durable state root, admission, routing and the WAL append
-        run under one ingestion lock: the WAL's line order *is* every
-        job's log order (which replay after a restart depends on), and
-        the dedup horizon never advances past the last durable append —
-        a tracker snapshot taken between an admit and its WAL line could
-        otherwise drop a producer's re-send of an event the restart
-        lost.
+    def ingest_block(
+        self,
+        block: Sequence[tuple[Event, str | None, int | None]],
+        *,
+        wait: bool = True,
+    ) -> list[dict[str, Any]]:
+        """Admit and route ``(event, source, seq)`` triples, in order.
+
+        One outcome per event: ``{"accepted": <jobs>}`` plus any
+        ``rejections``, or ``{"accepted": 0}`` with ``duplicate`` or
+        ``unrouted`` set. Accepted events are staged, then committed: one
+        WAL append, flushed before any of them reaches a job queue, so no
+        round ever drains an event whose WAL line is not on disk. Each
+        line records the event's whole routing set, so the event is
+        durable for all of its jobs or for none of them.
+
+        The block runs under one hold of the ingestion lock: the WAL's
+        line order *is* every job's log order (which replay after a
+        restart depends on), and a heartbeat's tracker snapshot never
+        covers an admitted event whose WAL line is not flushed — the
+        restart would otherwise drop the producer's re-send of an event
+        it lost. A *block*-mode wait for queue room is the one exception:
+        it commits what is staged and waits without the lock.
         """
-        if self.state is not None:
-            with self._ingest_lock:
-                if not self.tracker.admit(source, seq):
-                    return {"accepted": 0, "duplicate": True}
-                return self._route_event(event, source, seq, wait)
-        if not self.tracker.admit(source, seq):
-            return {"accepted": 0, "duplicate": True}
-        return self._route_event(event, source, seq, wait)
+        outcomes: list[dict[str, Any]] = []
+        staged: list[_Staged] = []
+        counts: dict[str, int] = {}
+        with self._ingest_lock:
 
-    def _route_event(
-        self, event: Event, source: str | None, seq: int | None, wait: bool
-    ) -> dict[str, Any]:
-        routed = 0
-        routed_ids: list[str] = []
-        rejections: list[dict[str, Any]] = []
-        ready = False
-        targets = [
-            job for job in list(self.jobs.values())
-            if event.event_type in job.event_types
-        ]
-        if not targets:
-            self.unrouted += 1  # lint: unguarded — a monotonic stat counter
-            return {"accepted": 0, "unrouted": True}
-        for job in targets:
-            outcome = job.offer(event, wait=wait, draining=self.draining)
-            if outcome["accepted"]:
-                routed += 1
-                routed_ids.append(job.job_id)
-                ready = ready or outcome.get("round_ready", False)
-            else:
-                rejection = {"job": job.job_id, **outcome}
-                rejection.pop("accepted")
-                rejections.append(rejection)
-        if routed_ids and self.state is not None:
-            # One append covers the whole routing set: the event is
-            # durable for all of its jobs or for none of them.
-            self.state.append_wal(event_to_wire(event, source, seq), routed_ids)
-        if ready:
-            self.kick()
-        out: dict[str, Any] = {"accepted": routed}
-        if rejections:
-            out["rejections"] = rejections
-        return out
+            def commit() -> None:  # only ever called under this hold
+                self._commit(staged)
+                staged.clear()
+                counts.clear()
+
+            for event, source, seq in block:
+                targets = [
+                    job for job in list(self.jobs.values())
+                    if event.event_type in job.event_types
+                ]
+                while wait and not self.tracker.is_duplicate(source, seq):
+                    full = next(
+                        (j for j in targets if j.must_wait(counts.get(j.job_id, 0))),
+                        None,
+                    )
+                    if full is None:
+                        break
+                    # Park with the staged events queued, so the worker
+                    # can drain them, and without the lock, so heartbeats
+                    # and other producers get through. The event is not
+                    # admitted yet: no tracker snapshot can cover it.
+                    commit()
+                    self._ingest_lock.release()
+                    try:
+                        full.wait_for_room()
+                    finally:
+                        self._ingest_lock.acquire()
+                if not self.tracker.admit(source, seq):
+                    outcomes.append({"accepted": 0, "duplicate": True})
+                    continue
+                if not targets:
+                    self.unrouted += 1
+                    outcomes.append({"accepted": 0, "unrouted": True})
+                    continue
+                routed: list[Job] = []
+                rejections: list[dict[str, Any]] = []
+                for job in targets:
+                    refusal = job.admit(counts.get(job.job_id, 0), draining=self.draining)
+                    if refusal is None:
+                        routed.append(job)
+                    else:
+                        rejections.append({"job": job.job_id, **refusal})
+                outcome: dict[str, Any] = {"accepted": len(routed)}
+                if rejections:
+                    outcome["rejections"] = rejections
+                outcomes.append(outcome)
+                if routed:
+                    staged.append((event, source, seq, routed))
+                    for job in routed:
+                        counts[job.job_id] = counts.get(job.job_id, 0) + 1
+            commit()
+        return outcomes
+
+    def _commit(self, staged: list[_Staged]) -> None:
+        """Write and flush the staged events' WAL lines, then queue them.
+
+        Runs under the ingestion lock; cancel and drain take it too, so
+        neither can slip between an event's admission and its queueing.
+        """
+        if not staged:
+            return
+        if self.state is not None:
+            self.state.append_wal([
+                (event_to_wire(event, source, seq), [job.job_id for job in jobs])
+                for event, source, seq, jobs in staged
+            ])
+        per_job: dict[str, tuple[Job, list[Event]]] = {}
+        for event, _source, _seq, jobs in staged:
+            for job in jobs:
+                per_job.setdefault(job.job_id, (job, []))[1].append(event)
+        for job, events in per_job.values():
+            job.publish(events)
+        self.kick()
 
     def heartbeat(self, source: str | None, ts: int) -> None:
         """A producer watermark: record it and flush queued work.
 
-        Durable mode snapshots the tracker under the ingestion lock so
-        the persisted dedup horizon is consistent with the WAL tail.
+        Durable mode snapshots the tracker under the ingestion lock, so
+        the persisted dedup horizon never runs ahead of the flushed WAL.
         """
-        if self.state is not None:
-            with self._ingest_lock:
-                self.tracker.heartbeat(source, ts)
-                self.state.write_tracker(self.tracker.snapshot())
-        else:
+        with self._ingest_lock:
             self.tracker.heartbeat(source, ts)
+            if self.state is not None:
+                self.state.write_tracker(self.tracker.snapshot())
         self.flush_all()
 
     def flush_all(self) -> None:
@@ -1051,7 +1123,8 @@ class JobManager:
         checkpointed — then moves to ``drained``. The server stays up to
         serve results until shutdown.
         """
-        self.draining = True
+        with self._ingest_lock:  # see cancel
+            self.draining = True
         drained = []
         for job in list(self.jobs.values()):
             if job.state != JobState.RUNNING:

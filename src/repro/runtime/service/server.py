@@ -28,9 +28,17 @@ Errors are structured documents — ``{"error": {"code": ..., "message":
 status — never stack traces.
 
 The TCP ingest protocol accepts the same NDJSON lines; malformed lines
-get a ``{"error": ...}`` response line (the connection stays open),
-``{"op": "sync"}`` answers with a ``{"sync": ...}`` summary barrier, and
+get a ``{"error": ...}`` response line numbered from the session's first
+line (the connection stays open), ``{"op": "sync"}`` answers with a
+``{"sync": ...}`` summary barrier covering every earlier line, and
 ``{"op": "bye"}`` or EOF ends the session.
+
+Both transports ingest in blocks through one path, :meth:`ReproService
+._apply_lines`: each TCP read (whatever the socket has buffered, up to
+64 KiB, with a partial last line carried to the next read) or each
+``POST /ingest`` body is decoded and applied in one executor hop, and
+every run of events in it is admitted, WAL-logged and queued as one
+block by :meth:`~repro.runtime.service.jobs.JobManager.ingest_block`.
 """
 
 from __future__ import annotations
@@ -42,9 +50,14 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.asp.datamodel import Event
 from repro.errors import ServiceError
 from repro.runtime.service.events import WireError, parse_wire_line
 from repro.runtime.service.jobs import JobManager, ServiceConfig
+
+#: The most bytes one TCP read takes: one block of lines, one executor
+#: hop. A line longer than this ends the session with an error line.
+_READ_BYTES = 64 * 1024
 
 _REASONS = {
     200: "OK",
@@ -202,9 +215,11 @@ class ReproService:
             info = await loop.run_in_executor(None, manager.submit, request)
             return 200, info
         if path == "/ingest" and method == "POST":
-            summary = await loop.run_in_executor(None, self._ingest_lines, body)
-            status = 400 if summary["errors"] else 200
-            return status, summary
+            summary = _new_summary()
+            await loop.run_in_executor(
+                None, self._apply_lines, body.split(b"\n"), summary
+            )
+            return (400 if summary["errors"] else 200), summary
         if path == "/drain" and method == "POST":
             result = await loop.run_in_executor(None, manager.drain)
             return 200, result
@@ -259,95 +274,103 @@ class ReproService:
             raise ServiceError("bad-request", "body must be a JSON object")
         return doc
 
-    def _ingest_lines(self, body: bytes) -> dict[str, Any]:
-        """Apply a batch of NDJSON lines; runs in the executor."""
-        summary: dict[str, Any] = {
-            "accepted": 0,
-            "rejected": 0,
-            "duplicates": 0,
-            "watermarks": 0,
-            "errors": [],
-            "rejections": [],
-        }
-        for number, raw in enumerate(body.splitlines(), start=1):
+    def _apply_lines(
+        self, lines: list[bytes], summary: dict[str, Any], first_line: int = 1
+    ) -> tuple[bytes, bool]:
+        """Decode NDJSON lines and apply them in order; runs in the executor.
+
+        Each run of events between two other messages is ingested as one
+        block. Returns the reply lines for the TCP peer — error lines and
+        ``sync`` summaries, in line order — and whether a ``bye`` ended
+        the session (lines after it are not applied).
+        """
+        replies: list[str] = []
+        run: list[tuple[Event, str | None, int | None]] = []
+        for number, raw in enumerate(lines, start=first_line):
             if not raw.strip():
                 continue
             try:
                 message = parse_wire_line(raw)
             except WireError as exc:
-                summary["errors"].append({"line": number, **exc.as_dict()})
+                error = {"line": number, **exc.as_dict()}
+                summary["errors"].append(error)
+                replies.append(json.dumps({"error": error}))
                 continue
-            self._apply_message(message, summary)
-        return summary
+            if message["kind"] == "event":
+                run.append((message["event"], message["source"], message["seq"]))
+                continue
+            self._ingest_run(run, summary)
+            run = []
+            if message["kind"] == "watermark":
+                self.manager.heartbeat(message["source"], message["ts"])
+                summary["watermarks"] += 1
+            elif message["op"] == "sync":
+                # Cap rejection detail so the barrier stays small.
+                doc = dict(summary)
+                doc["rejections"] = doc["rejections"][-20:]
+                doc["errors"] = doc["errors"][-20:]
+                replies.append(json.dumps({"sync": doc}))
+            else:  # bye
+                return _encode(replies), True
+        self._ingest_run(run, summary)
+        return _encode(replies), False
 
-    def _apply_message(self, message: dict[str, Any], summary: dict[str, Any]) -> None:
-        if message["kind"] == "watermark":
-            self.manager.heartbeat(message["source"], message["ts"])
-            summary["watermarks"] += 1
+    def _ingest_run(
+        self, run: list[tuple[Event, str | None, int | None]], summary: dict[str, Any]
+    ) -> None:
+        if not run:
             return
-        if message["kind"] == "op":
-            return
-        outcome = self.manager.ingest_event(
-            message["event"], message["source"], message["seq"]
-        )
-        if outcome.get("duplicate"):
-            summary["duplicates"] += 1
-            return
-        summary["accepted"] += outcome.get("accepted", 0)
-        for rejection in outcome.get("rejections", ()):
-            summary["rejected"] += 1
-            summary["rejections"].append(rejection)
+        for outcome in self.manager.ingest_block(run):
+            if outcome.get("duplicate"):
+                summary["duplicates"] += 1
+                continue
+            summary["accepted"] += outcome["accepted"]
+            for rejection in outcome.get("rejections", ()):
+                summary["rejected"] += 1
+                summary["rejections"].append(rejection)
 
     # -- TCP ingest --------------------------------------------------------
 
     async def _handle_tcp(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """One ingest session: every read becomes one block of lines.
+
+        A read takes whatever the socket has buffered, up to
+        ``_READ_BYTES``; its complete lines go to the executor in one hop
+        (admission in *block* mode parks that thread, so other
+        connections keep flowing), and a partial last line waits for the
+        next read. At EOF the partial line is applied as it stands.
+        """
         loop = asyncio.get_running_loop()
-        summary: dict[str, Any] = {
-            "accepted": 0,
-            "rejected": 0,
-            "duplicates": 0,
-            "watermarks": 0,
-            "errors": [],
-            "rejections": [],
-        }
+        summary = _new_summary()
+        pending = b""
+        line_number = 0
         try:
-            line_number = 0
             while True:
-                raw = await reader.readline()
-                if not raw:
+                data = await reader.read(_READ_BYTES)
+                if not data and not pending:
                     break
-                line_number += 1
-                if not raw.strip():
-                    continue
-                try:
-                    message = parse_wire_line(raw)
-                except WireError as exc:
-                    summary["errors"].append({"line": line_number, **exc.as_dict()})
-                    writer.write(
-                        (json.dumps({"error": {"line": line_number, **exc.as_dict()}})
-                         + "\n").encode("utf-8")
+                lines = (pending + data).split(b"\n")
+                pending = lines.pop() if data else b""
+                replies, bye = b"", False
+                if lines:
+                    replies, bye = await loop.run_in_executor(
+                        None, self._apply_lines, lines, summary, line_number + 1
                     )
+                    line_number += len(lines)
+                if len(pending) > _READ_BYTES:
+                    replies += _encode([json.dumps({"error": {
+                        "line": line_number + 1,
+                        "code": "line-too-long",
+                        "message": f"line exceeds {_READ_BYTES} bytes",
+                    }})])
+                    bye = True
+                if replies:
+                    writer.write(replies)
                     await writer.drain()
-                    continue
-                if message["kind"] == "op":
-                    if message["op"] == "sync":
-                        # Cap rejection detail so the barrier stays small.
-                        doc = dict(summary)
-                        doc["rejections"] = doc["rejections"][-20:]
-                        doc["errors"] = doc["errors"][-20:]
-                        writer.write(
-                            (json.dumps({"sync": doc}) + "\n").encode("utf-8")
-                        )
-                        await writer.drain()
-                        continue
-                    break  # bye
-                # Admission in "block" mode parks the producer's thread —
-                # run it off-loop so other connections keep flowing.
-                await loop.run_in_executor(
-                    None, self._apply_message, message, summary
-                )
+                if bye or not data:
+                    break
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -356,6 +379,21 @@ class ReproService:
                 await writer.wait_closed()
             except ConnectionError:
                 pass
+
+
+def _new_summary() -> dict[str, Any]:
+    return {
+        "accepted": 0,
+        "rejected": 0,
+        "duplicates": 0,
+        "watermarks": 0,
+        "errors": [],
+        "rejections": [],
+    }
+
+
+def _encode(replies: list[str]) -> bytes:
+    return "".join(reply + "\n" for reply in replies).encode("utf-8")
 
 
 @dataclass

@@ -12,7 +12,7 @@ layout, under the service's ``--state-dir``::
 
     <state_dir>/
         ingest.wal             service-wide ingestion WAL (NDJSON)
-        tracker.json           SourceTracker snapshot (written at drain)
+        tracker.json           SourceTracker snapshot (heartbeats, drain)
         <job_id>/
             job.json           the original submit request (immutable)
             state.json         progress: lifecycle state, counters, tenants
@@ -36,14 +36,22 @@ Replaying the WAL through the normal routing order rebuilds every job's
 arrival-ordered log byte-identically, so per-job (and per-shard)
 checkpoint offsets stay valid across the restart.
 
+**The WAL is written ahead of visibility.** The job manager appends an
+ingested block's lines in one write and one flush, and only then queues
+its events for the jobs, so no round (and no checkpoint offset) ever
+covers an event whose WAL line is not on disk. A kill −9 can therefore
+tear only lines nobody has read; replay stops at the torn line, and the
+first append of the next process cuts it off the file.
+
 **Output logs are written before the checkpoint that counts them.** A
 live job appends its sinks' new items just before each checkpoint
 capture, so a checkpoint never counts an item its output log lacks;
 resume reads each sink back up to the count the restored checkpoint
 records and ignores anything after it.
 
-Writes are flushed per line but not fsynced: the resume guarantee
-targets process death (SIGKILL), where the page cache survives.
+WAL writes are flushed per ingested block, and output-log writes per
+append, but nothing is fsynced: the resume guarantee targets process
+death (SIGKILL), where the page cache survives.
 """
 
 from __future__ import annotations
@@ -70,6 +78,8 @@ class ServiceState:
         self.root.mkdir(parents=True, exist_ok=True)
         self._wal_handle: IO[str] | None = None
         self._wal_lock = threading.Lock()
+        #: True once a full replay has cut any torn WAL tail.
+        self._wal_clean = False
 
     # -- job manifests -----------------------------------------------------
 
@@ -120,36 +130,54 @@ class ServiceState:
     def wal_path(self) -> Path:
         return self.root / _WAL
 
-    def append_wal(self, doc: dict[str, Any], job_ids: list[str]) -> None:
-        """One durable append covering the event's whole routing set."""
-        line = json.dumps({"event": doc, "jobs": job_ids}, sort_keys=True)
+    def append_wal(self, entries: list[tuple[dict[str, Any], list[str]]]) -> None:
+        """Append ``(wire doc, routed job ids)`` lines in one write and one
+        flush; each line covers its event's whole routing set.
+
+        The first append of a process cuts a torn tail (the line a kill −9
+        interrupted) off the file, so new lines never glue onto it.
+        """
+        text = "".join(
+            json.dumps({"event": doc, "jobs": job_ids}, sort_keys=True) + "\n"
+            for doc, job_ids in entries
+        )
         with self._wal_lock:
             if self._wal_handle is None:
+                if not self._wal_clean:
+                    for _entry in self.replay_wal():
+                        pass
                 self._wal_handle = self.wal_path.open("a", encoding="utf-8")
-            self._wal_handle.write(line + "\n")
+            self._wal_handle.write(text)
             self._wal_handle.flush()
 
     def replay_wal(self) -> Iterator[tuple[dict[str, Any], list[str]]]:
         """Yield ``(wire doc, routed job ids)`` in arrival order.
 
-        A truncated trailing line (the append a kill −9 interrupted) ends
-        the replay — by construction nothing after it was acknowledged as
-        durable.
+        A torn or undecodable line (the append a kill −9 interrupted) ends
+        the replay — nothing after it was ever published to a job — and,
+        once the replay runs to its end, is cut off the file.
         """
         if not self.wal_path.exists():
+            self._wal_clean = True
             return
-        with self.wal_path.open("r", encoding="utf-8") as handle:
+        good = 0
+        with self.wal_path.open("rb") as handle:
             for raw in handle:
-                text = raw.strip()
-                if not text:
-                    continue
-                try:
-                    doc = json.loads(text)
-                except json.JSONDecodeError:
+                if not raw.endswith(b"\n"):
                     break
-                if not isinstance(doc, dict) or "event" not in doc:
-                    break
-                yield doc["event"], [str(j) for j in doc.get("jobs", [])]
+                if raw.strip():
+                    try:
+                        doc = json.loads(raw)
+                    except ValueError:
+                        break
+                    if not isinstance(doc, dict) or "event" not in doc:
+                        break
+                    yield doc["event"], [str(j) for j in doc.get("jobs", [])]
+                good += len(raw)
+        if good < self.wal_path.stat().st_size:
+            with self.wal_path.open("r+b") as handle:
+                handle.truncate(good)
+        self._wal_clean = True
 
     # -- output logs -------------------------------------------------------
 

@@ -120,6 +120,15 @@ def render_serve(report: dict) -> list[str]:
                 "from the jobs' output logs before any new round.",
                 "",
             ]
+        if mode.get("second_kill_after") is not None:
+            second = report.get("second_resumed") or {}
+            lines += [
+                "A second SIGKILL landed mid-block while events up to "
+                f"**{mode['second_kill_after']}** were being ingested; the "
+                f"third server resumed from {second.get('wal_events', '?')} "
+                "WAL events.",
+                "",
+            ]
     lines += [
         "| query | server matches | batch matches | byte-identical |",
         "| --- | ---: | ---: | --- |",

@@ -19,7 +19,12 @@ drives it exactly like a tenant would:
    must deduplicate). ``--rounds-before-kill R`` first waits until every
    job completed R rounds, and requires the restarted server to serve at
    least the matches it served before the kill (read back from the
-   jobs' output logs, before any new round);
+   jobs' output logs, before any new round). ``--second-kill-after M``
+   then kills the restarted server again mid-block: it writes events
+   N+1..M in one burst and SIGKILLs as soon as the first block of them
+   is in the WAL, without waiting for the sync barrier, so the kill
+   lands while later blocks are admitted or written and can tear the
+   WAL's last line; the third server must resume from that WAL;
 3. drain, and assert every query's matches are byte-identical to the
    one-shot batch reference computed in this process;
 4. assert the metrics endpoint serves a ``repro.metrics/v1`` tree with
@@ -38,6 +43,8 @@ Usage::
         --group --sharded --kill-after 900 --report serve-restart.json
     PYTHONPATH=src python tools/serve_smoke.py --events 2000 \
         --group --sharded --kill-after 1600 --rounds-before-kill 2
+    PYTHONPATH=src python tools/serve_smoke.py --events 2000 \
+        --group --sharded --kill-after 900 --second-kill-after 1500
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ import argparse
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -65,6 +73,7 @@ from repro.mapping.translator import translate  # noqa: E402
 from repro.patterns import CATALOG  # noqa: E402
 from repro.runtime.service import (  # noqa: E402
     ServiceClient,
+    event_to_wire,
     merge_streams_for_wire,
     stream_events,
 )
@@ -157,6 +166,53 @@ def start_server(
     return proc, ready_file
 
 
+def send_burst(wal: Path, host, port, events, start_seq, timeout) -> None:
+    """Write ``events`` over TCP in one burst and return as soon as the
+    WAL grows, without waiting for a reply."""
+    seen = wal.stat().st_size
+    lines = [
+        (json.dumps(event_to_wire(event, "smoke", seq)) + "\n").encode("utf-8")
+        for seq, event in enumerate(events, start=start_seq)
+    ]
+    with socket.create_connection((host, port)) as sock:
+        sock.sendall(b"".join(lines))
+        deadline = time.monotonic() + timeout
+        while wal.stat().st_size == seen:
+            if time.monotonic() > deadline:
+                raise TimeoutError("the server logged nothing of the burst")
+
+
+def kill_and_restart(proc, tmp, log_file, state_dir, ready_name, timeout):
+    """SIGKILL the server and restart it on the same state dir; returns
+    the new process, its ports and a client."""
+    proc.send_signal(signal.SIGKILL)
+    proc.wait(timeout=timeout)
+    proc, ready_file = start_server(tmp, log_file, state_dir, ready_name)
+    ports = wait_for_ready(ready_file, proc, timeout)
+    client = ServiceClient(
+        ports["host"], ports["http_port"], retries=5, backoff_base_ms=100
+    )
+    return proc, ports, client
+
+
+def check_resumed(client, job_ids, failures) -> dict:
+    """Every job must have resumed, running; returns the resume document."""
+    resumed = client.server_metrics().get("resumed") or {}
+    missing = sorted(set(job_ids) - set(resumed.get("jobs", [])))
+    if missing:
+        failures.append(f"jobs not resumed after restart: {missing}")
+    else:
+        print(
+            f"restart resumed jobs={resumed['jobs']} "
+            f"wal_events={resumed['wal_events']}"
+        )
+    for job_id in job_ids:
+        status = client.job(job_id)
+        if status["state"] != "running":
+            failures.append(f"{job_id}: resumed in state {status['state']}")
+    return resumed
+
+
 def wait_for_rounds(client, job_ids, rounds, timeout):
     """Poll until every job completed ``rounds`` rounds and processed all
     it logged (no round in flight, so its matches are all checkpointed);
@@ -196,6 +252,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds-before-kill", type=int, default=0, metavar="R",
                         help="with --kill-after: wait until every job "
                              "completed R rounds before the SIGKILL")
+    parser.add_argument("--second-kill-after", type=int, metavar="M",
+                        help="with --kill-after N: after the restart, write "
+                             "events N+1..M in one burst, SIGKILL the server "
+                             "mid-block, and restart it again")
     parser.add_argument("--state-dir", metavar="DIR",
                         help="durable state root (default: a temp dir; "
                              "required implicitly by --kill-after)")
@@ -205,6 +265,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--timeout", type=float, default=60.0)
     args = parser.parse_args(argv)
+    if args.second_kill_after is not None and (
+        args.kill_after is None or args.second_kill_after <= args.kill_after
+    ):
+        parser.error("--second-kill-after M needs --kill-after N with N < M")
 
     report: dict = {
         "ok": False,
@@ -215,6 +279,7 @@ def main(argv: list[str] | None = None) -> int:
             "sharded": args.sharded,
             "kill_after": args.kill_after,
             "rounds_before_kill": args.rounds_before_kill,
+            "second_kill_after": args.second_kill_after,
         },
     }
     failures: list[str] = []
@@ -292,43 +357,35 @@ def main(argv: list[str] | None = None) -> int:
                     client, sorted(set(jobs.values())),
                     args.rounds_before_kill, args.timeout,
                 )
-                proc.send_signal(signal.SIGKILL)
-                proc.wait(timeout=args.timeout)
+                proc, ports, client = kill_and_restart(
+                    proc, tmp, log_file, state_dir, "ready-restart.json", args.timeout
+                )
                 print(f"killed server (SIGKILL) after {len(prefix)} events; "
-                      "restarting against the same --state-dir")
+                      "restarted against the same --state-dir")
                 report["killed_after"] = len(prefix)
-                proc, ready_file = start_server(
-                    tmp, log_file, state_dir, "ready-restart.json"
-                )
-                ports = wait_for_ready(ready_file, proc, args.timeout)
-                client = ServiceClient(
-                    ports["host"], ports["http_port"],
-                    retries=5, backoff_base_ms=100,
-                )
-                resumed = client.server_metrics().get("resumed") or {}
-                report["resumed"] = resumed
-                missing = sorted(set(jobs.values()) - set(resumed.get("jobs", [])))
-                if missing:
-                    failures.append(f"jobs not resumed after restart: {missing}")
-                else:
-                    print(
-                        f"restart resumed jobs={resumed['jobs']} "
-                        f"wal_events={resumed['wal_events']}"
-                    )
-                for job_id in sorted(set(jobs.values())):
+                job_ids = sorted(set(jobs.values()))
+                report["resumed"] = check_resumed(client, job_ids, failures)
+                for job_id, doc in before.items():
                     status = client.job(job_id)
-                    if status["state"] != "running":
-                        failures.append(
-                            f"{job_id}: resumed in state {status['state']}"
-                        )
-                    if job_id not in before:
-                        continue
-                    for name, count in before[job_id]["matches"].items():
+                    for name, count in doc["matches"].items():
                         if status["matches"][name] < count:
                             failures.append(
                                 f"{job_id}/{name}: {status['matches'][name]} "
                                 f"matches after restart, {count} before the kill"
                             )
+                if args.second_kill_after is not None:
+                    burst = wire[len(prefix): args.second_kill_after]
+                    send_burst(
+                        Path(state_dir) / "ingest.wal", ports["host"],
+                        ports["tcp_port"], burst, len(prefix) + 1, args.timeout,
+                    )
+                    proc, ports, client = kill_and_restart(
+                        proc, tmp, log_file, state_dir, "ready-second.json",
+                        args.timeout,
+                    )
+                    print(f"killed server (SIGKILL) mid-block of {len(burst)} "
+                          "fresh events; restarted again")
+                    report["second_resumed"] = check_resumed(client, job_ids, failures)
                 report["matches_before_kill"] = {
                     job_id: doc["matches"] for job_id, doc in before.items()
                 }
